@@ -59,52 +59,38 @@ def _sample_us(args) -> int:
     return sample_us
 
 
-def _write_run(result, out_dir: Path, force: bool) -> list[Path]:
-    name = result.scenario.name
-    trace_path, summary_path = _prepare_paths(
-        out_dir, [f"{name}-trace.csv", f"{name}-summary.csv"], force)
-    write_trace_csv(result.trace, trace_path)
-    write_summary_csv(result, summary_path)
-    return [trace_path, summary_path]
-
-
-def cmd_run(args) -> int:
-    scenario = load_scenario(args.target)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    result = run_scenario(scenario, sample_us=_sample_us(args))
-    written = _write_run(result, _out_dir(args), args.force)
-    m = result.metrics
-    print(f"{scenario.name}: eta={m.eta_percent:.1f}% F={m.fairness:.3f} "
-          f"L={m.loss_rate:.2e}")
-    for p in written:
-        print(f"wrote {p}")
-    return 0
-
-
-def _run_preset_batch(names, args) -> int:
+def _run_and_write(targets, args) -> int:
+    """Run each preset name or scenario file, and write its trace and summary."""
     out_dir = _out_dir(args)
     sample_us = _sample_us(args)
-    for name in names:
-        scenario = load_scenario(name)
+    for target in targets:
+        scenario = load_scenario(target)
         if args.seed is not None:
             scenario = replace(scenario, seed=args.seed)
         result = run_scenario(scenario, sample_us=sample_us)
-        written = _write_run(result, out_dir, args.force)
+        name = result.scenario.name
+        trace_path, summary_path = _prepare_paths(
+            out_dir, [f"{name}-trace.csv", f"{name}-summary.csv"], args.force)
+        write_trace_csv(result.trace, trace_path)
+        write_summary_csv(result, summary_path)
         m = result.metrics
-        print(f"{scenario.name}: eta={m.eta_percent:.1f}% F={m.fairness:.3f} "
+        print(f"{name}: eta={m.eta_percent:.1f}% F={m.fairness:.3f} "
               f"L={m.loss_rate:.2e}")
-        for p in written:
-            print(f"wrote {p}")
+        print(f"wrote {trace_path}")
+        print(f"wrote {summary_path}")
     return 0
 
 
+def cmd_run(args) -> int:
+    return _run_and_write([args.target], args)
+
+
 def cmd_fig2(args) -> int:
-    return _run_preset_batch(FIG2_PRESETS, args)
+    return _run_and_write(FIG2_PRESETS, args)
 
 
 def cmd_fig3(args) -> int:
-    return _run_preset_batch(FIG3_PRESETS, args)
+    return _run_and_write(FIG3_PRESETS, args)
 
 
 def cmd_table1(args) -> int:
@@ -145,14 +131,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_seed=True):
+    def add_common(p, runs_scenarios=True):
         p.add_argument("--out", default="out",
                        help="output directory (default: ./out)")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
-        p.add_argument("--sample-ms", type=float, default=DEFAULT_SAMPLE_US / 1000,
-                       help="trace sampling period in ms (default: 10)")
-        if with_seed:
+        if runs_scenarios:
+            p.add_argument("--sample-ms", type=float, default=DEFAULT_SAMPLE_US / 1000,
+                           help="trace sampling period in ms (default: 10)")
             p.add_argument("--seed", type=int, default=None,
                            help="override the scenario seed")
 
@@ -181,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="only cells whose name contains SUBSTRING (repeatable)")
     p_tab.add_argument("--verbose", action="store_true",
                        help="print each finished cell")
-    add_common(p_tab, with_seed=False)
+    add_common(p_tab, runs_scenarios=False)
     p_tab.set_defaults(func=cmd_table1)
 
     p_chk = sub.add_parser("check", help="run the acceptance suite")

@@ -1,12 +1,13 @@
 """Discrete-event core: integer-microsecond clock, ordered event queue, run loop.
 
-All timestamps are non-negative integers in microseconds. Events with equal
+All timestamps are non-negative integers in microseconds. The queue is a heap
+of plain (fire_at, seq, kind, payload) tuples; each is dispatched by calling
+the handler registered for its kind with the payload alone. Events with equal
 fire times dispatch in insertion order, so a run is a pure function of the
 schedule calls made against it.
 """
 
 import heapq
-from dataclasses import dataclass
 from enum import IntEnum, auto
 
 
@@ -23,38 +24,6 @@ class SchedulingInPast(Exception):
     """Raised when an event is scheduled before the current clock."""
 
 
-# internal heap entry states
-_PENDING = 0
-_FIRED = 1
-_CANCELLED = 2
-
-
-class Event:
-    """A scheduled occurrence. Returned by schedule() and usable as a cancel handle."""
-
-    __slots__ = ("fire_at", "seq", "kind", "payload", "_state")
-
-    def __init__(self, fire_at: int, seq: int, kind: EventKind, payload):
-        self.fire_at = fire_at
-        self.seq = seq
-        self.kind = kind
-        self.payload = payload
-        self._state = _PENDING
-
-    @property
-    def pending(self) -> bool:
-        return self._state == _PENDING
-
-    def __repr__(self):
-        return f"Event(fire_at={self.fire_at}, seq={self.seq}, kind={self.kind.name})"
-
-
-@dataclass
-class RunSummary:
-    events_dispatched: int
-    final_clock_us: int
-
-
 class Engine:
     """Event queue plus monotone clock.
 
@@ -64,37 +33,27 @@ class Engine:
 
     def __init__(self):
         self.now = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple] = []
         self._seq = 0
         self._handlers = {}
-        self._dispatched = 0
 
     def register(self, kind: EventKind, handler) -> None:
-        """Bind handler(event) to an event kind. Last registration wins."""
+        """Bind handler(payload) to an event kind. Last registration wins."""
         self._handlers[kind] = handler
 
-    def schedule(self, fire_at: int, kind: EventKind, payload=None) -> Event:
+    def schedule(self, fire_at: int, kind: EventKind, payload=None) -> None:
         """Queue an event at absolute time fire_at (>= now)."""
         if fire_at < self.now:
             raise SchedulingInPast(
                 f"fire_at={fire_at} is before current clock {self.now}"
             )
-        ev = Event(fire_at, self._seq, kind, payload)
+        heapq.heappush(self._heap, (fire_at, self._seq, kind, payload))
         self._seq += 1
-        heapq.heappush(self._heap, (fire_at, ev.seq, ev))
-        return ev
 
-    def schedule_in(self, delay: int, kind: EventKind, payload=None) -> Event:
-        return self.schedule(self.now + delay, kind, payload)
+    def schedule_in(self, delay: int, kind: EventKind, payload=None) -> None:
+        self.schedule(self.now + delay, kind, payload)
 
-    def cancel(self, ev: Event) -> bool:
-        """Cancel a pending event. Returns False if it already fired or was cancelled."""
-        if ev._state != _PENDING:
-            return False
-        ev._state = _CANCELLED
-        return True
-
-    def run(self, until: int) -> RunSummary:
+    def run(self, until: int) -> None:
         """Dispatch events with fire_at <= until in order.
 
         The clock only advances through dispatched events; with an empty queue
@@ -102,14 +61,8 @@ class Engine:
         """
         heap = self._heap
         handlers = self._handlers
-        dispatched = 0
+        pop = heapq.heappop
         while heap and heap[0][0] <= until:
-            fire_at, _, ev = heapq.heappop(heap)
-            if ev._state == _CANCELLED:
-                continue
-            ev._state = _FIRED
+            fire_at, _, kind, payload = pop(heap)
             self.now = fire_at
-            handlers[ev.kind](ev)
-            dispatched += 1
-        self._dispatched += dispatched
-        return RunSummary(self._dispatched, self.now)
+            handlers[kind](payload)

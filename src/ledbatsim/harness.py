@@ -22,6 +22,7 @@ from .tcp import TcpConfig, TcpFlow
 from .transport import Receiver
 
 DEFAULT_SAMPLE_US = 10_000
+UNIFORM_START_MAX_S = 10.0  # delta_t_mode "uniform" draws the second start from U(0, this)
 
 
 class UsageError(Exception):
@@ -51,6 +52,10 @@ class FlowSpec:
     base_histo_min: int = 2
     clock_offset_us: int = 0
     pin_zero_queuing_delay: bool = False
+
+    @property
+    def target_us(self) -> int:
+        return int(round(self.target_ms * 1000))
 
 
 @dataclass
@@ -93,12 +98,22 @@ class Scenario:
                 raise ValidationError(f"flow {i}: unknown kind {f.kind!r}")
             if not 0 <= f.start_s < self.duration_s:
                 raise ValidationError(f"flow {i}: start_s outside [0, duration)")
-            if f.target_ms <= 0:
-                raise ValidationError(f"flow {i}: target_ms must be positive")
+            if f.target_us < 1:
+                raise ValidationError(f"flow {i}: target_ms must be at least 0.001 (1 us)")
             if not 2 <= f.base_histo_min <= 10:
                 raise ValidationError(f"flow {i}: base_histo_min must be within [2, 10]")
             if f.gain is not None and (f.gain[0] <= 0 or f.gain[1] <= 0):
                 raise ValidationError(f"flow {i}: gain must be a positive rational")
+        if len(self.flows) > 1:
+            # the latest start resolve_starts can draw for the second flow
+            if self.delta_t_mode == "uniform":
+                latest_s = UNIFORM_START_MAX_S
+            else:
+                latest_s = self.flows[1].start_s + self.start_jitter_s
+            if latest_s >= self.duration_s:
+                raise ValidationError(
+                    f"second flow may start at {latest_s:g} s, not before duration_s"
+                )
 
     @property
     def duration_us(self) -> int:
@@ -116,7 +131,7 @@ def resolve_starts(scenario: Scenario, rng: np.random.Generator) -> Scenario:
     flows = [replace(f) for f in scenario.flows]
     if len(flows) > 1:
         if scenario.delta_t_mode == "uniform":
-            flows[1].start_s = float(rng.uniform(0.0, 10.0))
+            flows[1].start_s = float(rng.uniform(0.0, UNIFORM_START_MAX_S))
         elif scenario.start_jitter_s > 0:
             flows[1].start_s += float(rng.uniform(0.0, scenario.start_jitter_s))
     return replace(scenario, flows=flows, delta_t_mode="fixed", start_jitter_s=0.0)
@@ -205,7 +220,6 @@ class RunResult:
 
 class _Simulation:
     def __init__(self, scenario: Scenario, sample_us: int):
-        scenario.validate()
         self.scenario = scenario
         self.sample_us = sample_us
         self.duration_us = scenario.duration_us
@@ -226,12 +240,11 @@ class _Simulation:
         for fid, spec in enumerate(scenario.flows):
             if spec.kind == "ledbat":
                 cfg = LedbatConfig(
-                    target_us=int(round(spec.target_ms * 1000)),
+                    target_us=spec.target_us,
                     gain=Fraction(*spec.gain) if spec.gain is not None else None,
                     pacing=spec.pacing,
                     slow_start=spec.slow_start,
                     base_histo_minutes=spec.base_histo_min,
-                    clock_offset_us=spec.clock_offset_us,
                     pin_zero_queuing_delay=spec.pin_zero_queuing_delay,
                 )
                 sender = LedbatFlow(self.engine, fid, self.link, scenario.packet_bytes, cfg)
@@ -257,13 +270,12 @@ class _Simulation:
         eng.register(EventKind.PACING_TIMER, self._on_pacing_timer)
         eng.register(EventKind.FLOW_START, self._on_flow_start)
         eng.register(EventKind.STATS_SAMPLE, self._on_sample)
-        eng.register(EventKind.SIM_END, lambda ev: None)
+        eng.register(EventKind.SIM_END, lambda _payload: None)
 
     def _on_drop(self, now: int, pkt) -> None:
         self.trace.drops.append((now, pkt.flow_id, pkt.seq))
 
-    def _on_arrival(self, ev) -> None:
-        pkt = ev.payload
+    def _on_arrival(self, pkt) -> None:
         now = self.engine.now
         if pkt.is_ack:
             self.senders[pkt.flow_id].on_ack(pkt, now)
@@ -271,13 +283,13 @@ class _Simulation:
             ack = self.receivers[pkt.flow_id].on_data(pkt, now)
             self.ack_path.send(ack)
 
-    def _on_pacing_timer(self, ev) -> None:
-        self.senders[ev.payload].on_pacing_timer(self.engine.now)
+    def _on_pacing_timer(self, fid) -> None:
+        self.senders[fid].on_pacing_timer(self.engine.now)
 
-    def _on_flow_start(self, ev) -> None:
-        self.senders[ev.payload].start(self.engine.now)
+    def _on_flow_start(self, fid) -> None:
+        self.senders[fid].start(self.engine.now)
 
-    def _on_sample(self, ev) -> None:
+    def _on_sample(self, _payload) -> None:
         now = self.engine.now
         tr = self.trace
         link = self.link
@@ -565,7 +577,7 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
         if block:
             raise ParseError(f"{where}: unknown key {sorted(block)[0]!r}")
 
-    scn = Scenario(
+    return Scenario(
         name=name,
         capacity_bps=capacity_bps,
         buffer_pkts=buffer_pkts,
@@ -577,8 +589,6 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
         delta_t_mode=delta_t_mode,
         start_jitter_s=start_jitter_s,
     )
-    scn.validate()
-    return scn
 
 
 def load_scenario(name_or_path: str) -> Scenario:

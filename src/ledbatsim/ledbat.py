@@ -34,7 +34,6 @@ class LedbatConfig:
     pacing: bool = True
     slow_start: bool = False
     base_histo_minutes: int = 2
-    clock_offset_us: int = 0  # receiver-minus-sender clock disagreement (test knob)
     pin_zero_queuing_delay: bool = False  # fault injection: estimator output forced to 0
 
     def __post_init__(self):

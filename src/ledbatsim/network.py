@@ -77,7 +77,6 @@ class Bottleneck:
 
         self.queue: deque[Packet] = deque()
         self.in_service: Packet | None = None
-        self._service_ends_at = 0
 
         self.offered = 0
         self.dropped = 0
@@ -107,12 +106,12 @@ class Bottleneck:
     def _start_next(self) -> None:
         pkt = self.queue.popleft()
         self.in_service = pkt
-        self._service_ends_at = self.engine.now + service_time_us(
-            pkt.size_bytes, self.capacity_bps
+        self.engine.schedule(
+            self.engine.now + service_time_us(pkt.size_bytes, self.capacity_bps),
+            EventKind.LINK_SERVICE_DONE,
         )
-        self.engine.schedule(self._service_ends_at, EventKind.LINK_SERVICE_DONE)
 
-    def _service_done(self, _ev) -> None:
+    def _service_done(self, _payload) -> None:
         pkt = self.in_service
         self.in_service = None
         self.delivered += 1
@@ -126,12 +125,6 @@ class Bottleneck:
 
     def queue_pkts(self) -> int:
         return len(self.queue) + (1 if self.in_service is not None else 0)
-
-    def queuing_delay_us(self) -> int:
-        """Delay a new arrival would see: queued backlog plus in-service residual."""
-        backlog = sum(p.size_bytes for p in self.queue) * 8 * 1_000_000 // self.capacity_bps
-        residual = self._service_ends_at - self.engine.now if self.in_service else 0
-        return backlog + residual
 
     def conservation_ok(self) -> bool:
         return self.offered == self.delivered + self.dropped + len(self.queue) + (

@@ -88,11 +88,10 @@ class SenderBase:
         self.rtt_est_us: int | None = None
         self.max_rtt_us = 0
         self.last_halving_at: int | None = None
-        self.started = False
 
         self._send_times: dict[int, int] = {}
         self._next_send_at = 0
-        self._pacing_ev = None
+        self._pacing_armed = False
         self._recovery_point = 0
         self._last_progress_at = 0
 
@@ -123,7 +122,6 @@ class SenderBase:
         return self.next_seq - 1 - self.highest_acked
 
     def start(self, now: int) -> None:
-        self.started = True
         self._last_progress_at = now
         self.try_send(now)
 
@@ -131,8 +129,9 @@ class SenderBase:
         while self.cwnd - self.flightsize >= 1.0:
             gap = self.pacing_gap_us()
             if gap and now < self._next_send_at:
-                if self._pacing_ev is None or not self._pacing_ev.pending:
-                    self._pacing_ev = self.engine.schedule(
+                if not self._pacing_armed:
+                    self._pacing_armed = True
+                    self.engine.schedule(
                         self._next_send_at, EventKind.PACING_TIMER, self.flow_id
                     )
                 return
@@ -141,9 +140,8 @@ class SenderBase:
             self._next_send_at = now + gap
 
     def on_pacing_timer(self, now: int) -> None:
-        self._pacing_ev = None
-        if self.started:
-            self.try_send(now)
+        self._pacing_armed = False
+        self.try_send(now)
 
     def _transmit(self, seq: int, now: int, retransmission: bool = False) -> None:
         self._send_times[seq] = now
@@ -212,7 +210,7 @@ class SenderBase:
 
     def check_timeout(self, now: int) -> None:
         """Coarse deadlock escape, polled on the periodic stats tick."""
-        if not self.started or self.flightsize == 0:
+        if self.flightsize == 0:
             return
         deadline = self._last_progress_at + max(2 * self.max_rtt_us, MIN_TIMEOUT_US)
         if now >= deadline:

@@ -90,6 +90,32 @@ def test_run_bad_sample_period_exits_2(tmp_path, scn_file, capsys):
     assert rc == 2
 
 
+SUB_US_TARGET = TINY_SCENARIO + "target_ms = 0.0004\n"  # rounds to 0 us
+# a 5 s run with U(0,10) s second starts: seeds 2 and 3 draw a start inside
+# the run, so only a bound on the latest possible draw rejects them
+LATE_UNIFORM_START = TINY_SCENARIO.replace(
+    "duration_s = 15\n", "duration_s = 5\ndelta_t_mode = uniform\n")
+
+
+@pytest.mark.parametrize("text,seed", [
+    (SUB_US_TARGET, "0"),
+    (LATE_UNIFORM_START, "2"),
+    (LATE_UNIFORM_START, "3"),
+], ids=["sub-us-target", "uniform-seed2", "uniform-seed3"])
+def test_run_rejects_scenario_the_run_cannot_use(tmp_path, capsys, text, seed):
+    p = tmp_path / "bad.scn"
+    p.write_text(text, encoding="utf-8")
+    rc = cli.main(["run", "--scenario", str(p), "--seed", seed, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_table1_has_no_sample_period(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table1", "--sample-ms", "250", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -1,4 +1,4 @@
-"""Event queue: ordering, cancellation, clock discipline."""
+"""Event queue: ordering, payload dispatch, clock discipline."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from ledbatsim.engine import Engine, EventKind, SchedulingInPast
 def _collect(engine):
     fired = []
     for kind in EventKind:
-        engine.register(kind, lambda ev, fired=fired: fired.append(ev))
+        engine.register(kind, fired.append)
     return fired
 
 
@@ -19,7 +19,7 @@ def test_dispatch_in_time_order():
     eng.schedule(10, EventKind.SIM_END, "a")
     eng.schedule(30, EventKind.SIM_END, "b")
     eng.run(until=100)
-    assert [ev.payload for ev in fired] == ["a", "b", "c"]
+    assert fired == ["a", "b", "c"]
     assert eng.now == 50
 
 
@@ -29,7 +29,7 @@ def test_equal_times_dispatch_in_insertion_order():
     for tag in "abcde":
         eng.schedule(7, EventKind.STATS_SAMPLE, tag)
     eng.run(until=7)
-    assert [ev.payload for ev in fired] == list("abcde")
+    assert fired == list("abcde")
 
 
 def test_schedule_in_past_raises():
@@ -50,39 +50,28 @@ def test_run_until_leaves_later_events_queued():
     eng.schedule(10, EventKind.SIM_END, "early")
     eng.schedule(20, EventKind.SIM_END, "late")
     eng.run(until=15)
-    assert [ev.payload for ev in fired] == ["early"]
+    assert fired == ["early"]
     assert eng.now == 10
     eng.run(until=25)
-    assert [ev.payload for ev in fired] == ["early", "late"]
-
-
-def test_cancel_is_idempotent_and_suppresses_dispatch():
-    eng = Engine()
-    fired = _collect(eng)
-    keep = eng.schedule(10, EventKind.PACING_TIMER, "keep")
-    drop = eng.schedule(10, EventKind.PACING_TIMER, "drop")
-    assert eng.cancel(drop) is True
-    assert eng.cancel(drop) is False  # second cancel is a no-op
-    eng.run(until=10)
-    assert [ev.payload for ev in fired] == ["keep"]
-    assert eng.cancel(keep) is False  # already fired
-    assert not keep.pending
+    assert fired == ["early", "late"]
 
 
 def test_schedule_in_offsets_from_current_clock():
     eng = Engine()
-    fired = _collect(eng)
+    at = []
+    eng.register(EventKind.SIM_END, lambda _payload: at.append(eng.now))
     eng.schedule(100, EventKind.SIM_END)
     eng.run(until=100)
-    ev = eng.schedule_in(40, EventKind.SIM_END)
-    assert ev.fire_at == 140
+    eng.schedule_in(40, EventKind.SIM_END)
+    eng.run(until=1000)
+    assert at == [100, 140]
 
 
 def test_handler_rescheduling_keeps_total_order():
     eng = Engine()
     seen = []
 
-    def tick(ev):
+    def tick(_payload):
         seen.append(eng.now)
         if len(seen) < 5:
             eng.schedule_in(10, EventKind.STATS_SAMPLE)
@@ -97,7 +86,7 @@ def test_same_schedule_same_dispatch_sequence():
     def drive():
         eng = Engine()
         order = []
-        eng.register(EventKind.SIM_END, lambda ev: order.append((eng.now, ev.payload)))
+        eng.register(EventKind.SIM_END, lambda payload: order.append((eng.now, payload)))
         for i, t in enumerate([5, 3, 3, 9, 1, 5]):
             eng.schedule(t, EventKind.SIM_END, i)
         eng.run(until=10)

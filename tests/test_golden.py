@@ -1,0 +1,68 @@
+"""Golden digests: the SHA-256 of the trace and summary CSVs of every figure
+preset and of one summary-grid cell per flow mix, each cut to 30 s.
+
+A refactor that is meant to keep behaviour must keep these bytes. A change
+that moves them on purpose re-records them and says why.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from ledbatsim.harness import get_preset, run_scenario, write_summary_csv, write_trace_csv
+
+CUT_S = 30.0
+GRID_SEED = 5
+
+# preset -> (trace sha256, summary sha256)
+GOLDEN = {
+    "fig2a": (
+        "f3aa5987d88bdb003c2428491e7f7fcf03e58b27c5d670ad674465ae91385ddf",
+        "31e97d0b2ba698795fb6ccfe1e704abc6f33539a52ef974ff6aecd3d23ab130a",
+    ),
+    "fig2b": (
+        "b3c7b1f9ef71622ec0fe9a49703b0783e6a9f50816be4f1276288d6109bb97d3",
+        "6626069b0d7fd29fabf9d5b4e4e02526aa11732e075c4b40b0c66c37082d87b9",
+    ),
+    "fig3-top": (
+        "b8737da50f0d05dd7142e9b3e1369b7d152bb841caaaa59a3d05a46b2936af23",
+        "1f3cffedbb4e2888a91e2d93aa4de1557d0c4984407e6cb962b1e4c66f892b0a",
+    ),
+    "fig3-mid": (
+        "6f61fd2cde82c40affa381e1af1870d2a36e9af6806383c212800a8f90c285ce",
+        "56d9be619437c7f76a28619d98a5b7cf14a3d9393be590675a4e1170052bb4a4",
+    ),
+    "fig3-bottom": (
+        "67c4af91de16dd747efea724b8223cb1ce66bc4843521c5f32b5876b3953b51d",
+        "2bdb3df0c2829abb06b9d1f92f241f4db7727934158ce612460bd860a685aff6",
+    ),
+    "tcp-alone-hs-b40": (
+        "e728461ae52f52699e1206267203376ab64f287f41616d5ba6529f7ea68e791a",
+        "329bef1248917db7a92dc40bbb68e92590e890565a531588598381ca1411daea",
+    ),
+    "table1-tl-c2-b10-dtu-noss": (
+        "76ce60bb687ce5f669ce55c3a056f21a2f88829e5cd295c8c1fe1777fd9db5a0",
+        "fe0f796d473fe4a555f77f4fd698c78bb07ec939429dfe339a766ffdc48c434e",
+    ),
+    "table1-ll-c2-b10-dt2-ss": (
+        "652cf4ad47978733ab4e5028082bc5233988097e6a6fc9aa52567c7e58f2d890",
+        "a9ca02ea14592e1808b898dfb3228908a3c2e128cab3fbed1458f07fee6a636e",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN))
+def test_output_bytes_match_golden(preset, tmp_path):
+    scenario = replace(get_preset(preset), duration_s=CUT_S)
+    if preset.startswith("table1-"):
+        scenario = replace(scenario, seed=GRID_SEED)
+    result = run_scenario(scenario)
+    trace, summary = tmp_path / "trace.csv", tmp_path / "summary.csv"
+    write_trace_csv(result.trace, trace)
+    write_summary_csv(result, summary)
+    assert (_sha256(trace), _sha256(summary)) == GOLDEN[preset]

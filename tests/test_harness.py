@@ -55,6 +55,10 @@ def test_validate_passes_sane_scenario():
     (dict(delta_t_mode="gaussian"), "delta_t_mode"),
     (dict(start_jitter_s=-1.0), "jitter"),
     (dict(seed=-1), "seed"),
+    # the latest second-flow start the seed can draw must fall before the end
+    (dict(delta_t_mode="uniform", duration_s=10.0), "second flow may start at 10 s"),
+    (dict(flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=19.95)], start_jitter_s=0.1),
+     "second flow may start at 20.05 s"),
 ])
 def test_validate_rejects_bad_top_level(patch, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -65,6 +69,7 @@ def test_validate_rejects_bad_top_level(patch, fragment):
     (FlowSpec("quic"), "unknown kind"),
     (FlowSpec("tcp", start_s=25.0), "start_s"),  # beyond 20 s duration
     (FlowSpec("ledbat", target_ms=0.0), "target_ms"),
+    (FlowSpec("ledbat", target_ms=0.0004), "target_ms"),  # rounds to 0 us
     (FlowSpec("ledbat", base_histo_min=1), "base_histo_min"),
     (FlowSpec("ledbat", gain=(0, 5)), "gain"),
 ])

@@ -51,35 +51,23 @@ def test_drop_callback_gets_time_and_packet():
 def test_fifo_delivery_times_and_order():
     eng = Engine()
     arrivals = []
-    eng.register(EventKind.PACKET_ARRIVAL, lambda ev: arrivals.append((eng.now, ev.payload.seq)))
+    eng.register(EventKind.PACKET_ARRIVAL, lambda pkt: arrivals.append((eng.now, pkt.seq)))
     link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=10)
     for seq in (1, 2, 3):
         link.enqueue(_pkt(seq))
+    assert link.queue_pkts() == 3  # two queued plus the one in service
     eng.run(until=1_000_000)
+    assert link.queue_pkts() == 0
     # back-to-back service at 1200 us each, then the 10 ms pipe
     assert arrivals == [(11_200, 1), (12_400, 2), (13_600, 3)]
     assert link.delivered == 3 and link.bytes_delivered == 4500
     assert link.delivered_by_flow == {0: 3}
 
 
-def test_queuing_delay_counts_backlog_plus_residual():
-    eng = Engine()
-    eng.register(EventKind.PACKET_ARRIVAL, lambda ev: None)
-    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=10)
-    link.enqueue(_pkt(1))
-    link.enqueue(_pkt(2))
-    link.enqueue(_pkt(3))
-    # two queued packets (2400 us) plus the in-service residual (1200 us)
-    assert link.queuing_delay_us() == 3600
-    assert link.queue_pkts() == 3
-    eng.run(until=1_000_000)
-    assert link.queuing_delay_us() == 0
-
-
 def test_conservation_under_random_churn():
     rng = np.random.default_rng(3)
     eng = Engine()
-    eng.register(EventKind.PACKET_ARRIVAL, lambda ev: None)
+    eng.register(EventKind.PACKET_ARRIVAL, lambda _pkt: None)
     link = Bottleneck(eng, 2_000_000, 5_000, buffer_pkts=4)
     seq = 0
     for step in range(400):
@@ -96,7 +84,7 @@ def test_conservation_under_random_churn():
 def test_ack_path_is_a_fixed_delay():
     eng = Engine()
     arrivals = []
-    eng.register(EventKind.PACKET_ARRIVAL, lambda ev: arrivals.append(eng.now))
+    eng.register(EventKind.PACKET_ARRIVAL, lambda _ack: arrivals.append(eng.now))
     back = AckPath(eng, 25_000)
     back.send(Packet(0, 0, 40, 0, is_ack=True, ack_of_seq=1))
     eng.run(until=100_000)

@@ -1,7 +1,7 @@
 """Endpoint machinery: receiver acking, RTT filter, dupack loss detection,
-halving rate limit, window gating."""
+halving rate limit, window gating, pacing timers."""
 
-from ledbatsim.engine import Engine
+from ledbatsim.engine import Engine, EventKind
 from ledbatsim.network import Packet
 from ledbatsim.transport import ACK_BYTES, Receiver, SenderBase
 
@@ -181,3 +181,38 @@ def test_timeout_idle_flow_is_exempt():
     tx = _Recorder(eng, _FakeLink(), cwnd=2.0)
     tx.check_timeout(5_000_000)  # never started
     assert tx.timeouts == []
+
+
+class _Paced(_Recorder):
+    """Fixed window with a fixed 1 ms gap between sends."""
+
+    def pacing_gap_us(self):
+        return 1000
+
+
+class _ArmLog(Engine):
+    """Engine that records every event scheduled on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.scheduled = []
+
+    def schedule(self, fire_at, kind, payload=None):
+        self.scheduled.append((fire_at, kind))
+        super().schedule(fire_at, kind, payload)
+
+
+def test_gap_blocked_sender_arms_one_pacing_timer_at_a_time():
+    eng = _ArmLog()
+    link = _FakeLink()
+    tx = _Paced(eng, link, cwnd=4.0)
+    eng.register(EventKind.PACING_TIMER, lambda _fid: tx.on_pacing_timer(eng.now))
+    tx.start(0)
+    for _ in range(3):
+        tx.try_send(0)  # still inside the gap: no second timer
+    assert [p.seq for p in link.sent] == [1]
+    assert eng.scheduled == [(1000, EventKind.PACING_TIMER)]
+    eng.run(until=1000)  # fires, sends one, blocks again and re-arms
+    tx.try_send(1000)
+    assert [p.seq for p in link.sent] == [1, 2]
+    assert eng.scheduled == [(1000, EventKind.PACING_TIMER), (2000, EventKind.PACING_TIMER)]
