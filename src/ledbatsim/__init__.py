@@ -4,8 +4,8 @@ congestion control sharing a drop-tail FIFO bottleneck."""
 __version__ = "0.1.0"
 
 from .engine import Engine, EventKind, SchedulingInPast
-from .ledbat import LedbatConfig, LedbatFlow
-from .tcp import TcpConfig, TcpFlow
+from .ledbat import LedbatFlow
+from .tcp import TcpFlow
 from .network import AckPath, Bottleneck, Packet
 from .metrics import AllZeroRates, MetricsReport, aggregate_runs, jain_fairness, loss_rate, utilization
 from .harness import (
@@ -25,9 +25,7 @@ __all__ = [
     "Engine",
     "EventKind",
     "SchedulingInPast",
-    "LedbatConfig",
     "LedbatFlow",
-    "TcpConfig",
     "TcpFlow",
     "AckPath",
     "Bottleneck",

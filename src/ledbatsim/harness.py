@@ -9,17 +9,17 @@ processing, so identical inputs give bit-identical traces.
 """
 
 import bisect
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .engine import Engine, EventKind
-from .ledbat import LedbatConfig, LedbatFlow
+from .ledbat import LedbatFlow
 from .metrics import MetricsReport, aggregate_runs, compute_report
 from .network import AckPath, Bottleneck, service_time_us
-from .tcp import TcpConfig, TcpFlow
-from .transport import Receiver
+from .tcp import TcpFlow
+from .transport import FlowSpec, Receiver
 
 DEFAULT_SAMPLE_US = 10_000
 UNIFORM_START_MAX_S = 10.0  # delta_t_mode "uniform" draws the second start from U(0, this)
@@ -42,25 +42,9 @@ class ValidationError(UsageError):
 
 
 @dataclass
-class FlowSpec:
-    kind: str  # "ledbat" | "tcp"
-    start_s: float = 0.0
-    slow_start: bool = False
-    pacing: bool = True  # ledbat only; tcp always sends in batch
-    target_ms: float = 25.0
-    gain: tuple[int, int] | None = None  # rational per-us gain; None -> 1/target
-    base_histo_min: int = 2
-    clock_offset_us: int = 0
-    pin_zero_queuing_delay: bool = False
-
-    @property
-    def target_us(self) -> int:
-        return int(round(self.target_ms * 1000))
-
-
-@dataclass
 class Scenario:
-    name: str
+    # keyword-only, so that its default can stand before the required fields
+    name: str = field(default="scenario", kw_only=True)
     capacity_bps: int
     buffer_pkts: int
     flows: list[FlowSpec]
@@ -146,17 +130,14 @@ class TraceSet:
 
     Sampled series (aligned lists, one entry per tick): link queue occupancy
     and cumulative counters, and per flow the window, the delay estimates,
-    and cumulative delivered bytes. Event rows: drops (exact times), window
-    halvings, safety timeouts.
+    and cumulative delivered bytes. Event rows: drops (exact times) and window
+    halvings. Safety timeouts are in RunResult.flow_stats.
     """
 
-    def __init__(self, flow_ids, flow_kinds, capacity_bps, packet_bytes, duration_us, sample_us):
+    def __init__(self, flow_ids, capacity_bps, duration_us):
         self.flow_ids = list(flow_ids)
-        self.flow_kinds = list(flow_kinds)
         self.capacity_bps = capacity_bps
-        self.packet_bytes = packet_bytes
         self.duration_us = duration_us
-        self.sample_us = sample_us
 
         self.sample_t_us: list[int] = []
         self.queue_pkts: list[int] = []
@@ -170,7 +151,6 @@ class TraceSet:
 
         self.drops: list[tuple[int, int, int]] = []  # (t_us, flow_id, seq)
         self.halvings = {fid: [] for fid in self.flow_ids}  # (t_us, cwnd_after, rtt_gate)
-        self.timeouts = {fid: [] for fid in self.flow_ids}
         self.conservation_ok = True
 
     def _sample_index_at(self, t_us: int) -> int:
@@ -202,8 +182,7 @@ class FlowStats:
     base_delay_us: int | None
     retransmits: int
     max_update_ratio: float  # ledbat: largest gain*off_target applied (packets)
-    halvings: list[tuple[int, float, int]]
-    timeouts: list[int]
+    timeouts: list[int]  # safety-timeout firing times (us)
 
 
 @dataclass
@@ -238,32 +217,12 @@ class _Simulation:
         self.senders = []
         self.receivers = []
         for fid, spec in enumerate(scenario.flows):
-            if spec.kind == "ledbat":
-                cfg = LedbatConfig(
-                    target_us=spec.target_us,
-                    gain=Fraction(*spec.gain) if spec.gain is not None else None,
-                    pacing=spec.pacing,
-                    slow_start=spec.slow_start,
-                    base_histo_minutes=spec.base_histo_min,
-                    pin_zero_queuing_delay=spec.pin_zero_queuing_delay,
-                )
-                sender = LedbatFlow(self.engine, fid, self.link, scenario.packet_bytes, cfg)
-            else:
-                sender = TcpFlow(
-                    self.engine, fid, self.link, scenario.packet_bytes,
-                    TcpConfig(slow_start=spec.slow_start),
-                )
-            self.senders.append(sender)
+            sender_cls = LedbatFlow if spec.kind == "ledbat" else TcpFlow
+            self.senders.append(
+                sender_cls(self.engine, fid, self.link, scenario.packet_bytes, spec))
             self.receivers.append(Receiver(fid, spec.clock_offset_us))
 
-        self.trace = TraceSet(
-            flow_ids=range(len(self.senders)),
-            flow_kinds=[s.kind for s in self.senders],
-            capacity_bps=scenario.capacity_bps,
-            packet_bytes=scenario.packet_bytes,
-            duration_us=self.duration_us,
-            sample_us=sample_us,
-        )
+        self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps, self.duration_us)
 
         eng = self.engine
         eng.register(EventKind.PACKET_ARRIVAL, self._on_arrival)
@@ -325,7 +284,6 @@ class _Simulation:
         self.engine.run(self.duration_us)
         for s in self.senders:
             self.trace.halvings[s.flow_id] = list(s.halvings)
-            self.trace.timeouts[s.flow_id] = list(s.timeouts)
 
 
 def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US) -> RunResult:
@@ -351,7 +309,6 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US) -> RunR
             base_delay_us=getattr(s, "base_delay_us", None),
             retransmits=s.retransmits,
             max_update_ratio=getattr(s, "max_update_ratio", 0.0),
-            halvings=list(s.halvings),
             timeouts=list(s.timeouts),
         )
         for s in sim.senders
@@ -491,10 +448,83 @@ _HEADER = "ledbatsim-scenario v1"
 _BOOL = {"on": True, "off": False, "true": True, "false": False}
 
 
-def _parse_bool(value: str, where: str) -> bool:
+def _read_float(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
+def _read_bool(value: str) -> bool:
     if value.lower() not in _BOOL:
-        raise ParseError(f"{where}: expected on/off, got {value!r}")
+        raise ValueError(f"expected on/off, got {value!r}")
     return _BOOL[value.lower()]
+
+
+def _read_gain(value: str) -> tuple[int, int]:
+    parts = value.split("/")
+    if len(parts) != 2:
+        raise ValueError(f"expected num/den, got {value!r}")
+    return int(parts[0]), int(parts[1])
+
+
+def _scaled(scale: int):
+    """Read and write a file number whose unit is `scale` of the model's
+    integer unit (Mbps for bps, ms for us)."""
+    return lambda v: int(round(_read_float(v) * scale)), lambda n: repr(n / scale)
+
+
+# conversions in and out; repr writes the shortest text that reads back the
+# same float
+_STR = (str, str)
+_INT = (int, str)
+_FLOAT = (_read_float, repr)
+_ONOFF = (_read_bool, lambda b: "on" if b else "off")
+
+# (file key, attribute, read, write). An absent key takes the dataclass
+# default, and format_scenario leaves out every value equal to it.
+_SCENARIO_KEYS = [
+    ("name", "name", *_STR),
+    ("capacity_mbps", "capacity_bps", *_scaled(1_000_000)),
+    ("buffer_pkts", "buffer_pkts", *_INT),
+    ("rtt_base_ms", "rtt_base_us", *_scaled(1000)),
+    ("packet_bytes", "packet_bytes", *_INT),
+    ("duration_s", "duration_s", *_FLOAT),
+    ("seed", "seed", *_INT),
+    ("delta_t_mode", "delta_t_mode", *_STR),
+    ("start_jitter_s", "start_jitter_s", *_FLOAT),
+]
+_FLOW_KEYS = [
+    ("kind", "kind", *_STR),
+    ("start_s", "start_s", *_FLOAT),
+    ("slow_start", "slow_start", *_ONOFF),
+    ("pacing", "pacing", *_ONOFF),
+    ("target_ms", "target_ms", *_FLOAT),
+    ("gain", "gain", _read_gain, lambda g: f"{g[0]}/{g[1]}"),
+    ("base_histo_min", "base_histo_min", *_INT),
+    ("clock_offset_us", "clock_offset_us", *_INT),
+    ("pin_zero_queuing_delay", "pin_zero_queuing_delay", *_ONOFF),
+]
+
+
+def _read_block(cls, keys, block: dict[str, tuple[str, str]], where: str) -> dict:
+    """Constructor arguments for `cls` from one section's key -> (value, line)."""
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    kwargs = {}
+    for key, attr, read, _ in keys:
+        if key in block:
+            value, at = block.pop(key)
+            try:
+                kwargs[attr] = read(value)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"{at}: bad value for {key!r}: {exc}") from exc
+        elif attr in required:
+            raise ParseError(f"{where}: missing required key {key!r}")
+    if block:
+        key = sorted(block)[0]
+        raise ParseError(f"{block[key][1]}: unknown key {key!r}")
+    return kwargs
 
 
 def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
@@ -502,8 +532,8 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
     if not lines or lines[0].strip() != _HEADER:
         raise ParseError(f"{origin}:1: first line must be {_HEADER!r}")
 
-    top: dict[str, str] = {}
-    flow_blocks: list[dict[str, str]] = []
+    top: dict[str, tuple[str, str]] = {}
+    flow_blocks: list[dict[str, tuple[str, str]]] = []
     current = top
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
@@ -513,82 +543,23 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
             current = {}
             flow_blocks.append(current)
             continue
-        if "=" not in line:
-            raise ParseError(f"{origin}:{ln}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
         where = f"{origin}:{ln}"
+        if "=" not in line:
+            raise ParseError(f"{where}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
         if key in current:
             raise ParseError(f"{where}: duplicate key {key!r}")
-        current[key] = value
+        current[key] = (value.strip(), where)
 
-    def take(block, key, conv, default, where):
-        if key not in block:
-            if default is None:
-                raise ParseError(f"{where}: missing required key {key!r}")
-            return default
-        try:
-            return conv(block.pop(key))
-        except ParseError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: bad value for {key!r}: {exc}") from exc
-
-    where = origin
-    name = take(top, "name", str, "scenario", where)
-    capacity_bps = take(top, "capacity_mbps", lambda v: int(round(float(v) * 1e6)), None, where)
-    buffer_pkts = take(top, "buffer_pkts", int, None, where)
-    rtt_base_us = take(top, "rtt_base_ms", lambda v: int(round(float(v) * 1000)), 50_000, where)
-    packet_bytes = take(top, "packet_bytes", int, 1500, where)
-    duration_s = take(top, "duration_s", float, 300.0, where)
-    seed = take(top, "seed", int, 0, where)
-    delta_t_mode = take(top, "delta_t_mode", str, "fixed", where)
-    start_jitter_s = take(top, "start_jitter_s", float, 0.0, where)
-    if top:
-        raise ParseError(f"{origin}: unknown key {sorted(top)[0]!r}")
-
+    top_kwargs = _read_block(Scenario, _SCENARIO_KEYS, top, origin)
     if not flow_blocks:
         raise ParseError(f"{origin}: no [flow] sections")
-    flows = []
-    for i, block in enumerate(flow_blocks):
-        where = f"{origin} [flow] #{i}"
-        gain_raw = block.pop("gain", None)
-        gain = None
-        if gain_raw is not None:
-            parts = gain_raw.split("/")
-            if len(parts) != 2:
-                raise ParseError(f"{where}: gain must be num/den")
-            try:
-                gain = (int(parts[0]), int(parts[1]))
-            except ValueError as exc:
-                raise ParseError(f"{where}: gain must be num/den: {exc}") from exc
-        flows.append(FlowSpec(
-            kind=take(block, "kind", str, None, where),
-            start_s=take(block, "start_s", float, 0.0, where),
-            slow_start=take(block, "slow_start", lambda v: _parse_bool(v, where), False, where),
-            pacing=take(block, "pacing", lambda v: _parse_bool(v, where), True, where),
-            target_ms=take(block, "target_ms", float, 25.0, where),
-            gain=gain,
-            base_histo_min=take(block, "base_histo_min", int, 2, where),
-            clock_offset_us=take(block, "clock_offset_us", int, 0, where),
-            pin_zero_queuing_delay=take(
-                block, "pin_zero_queuing_delay", lambda v: _parse_bool(v, where), False, where),
-        ))
-        if block:
-            raise ParseError(f"{where}: unknown key {sorted(block)[0]!r}")
-
-    return Scenario(
-        name=name,
-        capacity_bps=capacity_bps,
-        buffer_pkts=buffer_pkts,
-        flows=flows,
-        rtt_base_us=rtt_base_us,
-        packet_bytes=packet_bytes,
-        duration_s=duration_s,
-        seed=seed,
-        delta_t_mode=delta_t_mode,
-        start_jitter_s=start_jitter_s,
-    )
+    flows = [
+        FlowSpec(**_read_block(FlowSpec, _FLOW_KEYS, block, f"{origin} [flow] #{i}"))
+        for i, block in enumerate(flow_blocks)
+    ]
+    return Scenario(flows=flows, **top_kwargs)
 
 
 def load_scenario(name_or_path: str) -> Scenario:
@@ -605,32 +576,22 @@ def load_scenario(name_or_path: str) -> Scenario:
 
 
 def format_scenario(s: Scenario) -> str:
-    """Inverse of parse_scenario_text, for diff-friendly scenario files."""
+    """Inverse of parse_scenario_text, for diff-friendly scenario files:
+    parse_scenario_text(format_scenario(s)) == s, as long as no text value
+    holds a '#', a line break, or leading or trailing blanks."""
     out = [_HEADER]
-    out.append(f"name = {s.name}")
-    out.append(f"capacity_mbps = {s.capacity_bps / 1e6:g}")
-    out.append(f"buffer_pkts = {s.buffer_pkts}")
-    out.append(f"rtt_base_ms = {s.rtt_base_us / 1000:g}")
-    out.append(f"packet_bytes = {s.packet_bytes}")
-    out.append(f"duration_s = {s.duration_s:g}")
-    out.append(f"seed = {s.seed}")
-    out.append(f"delta_t_mode = {s.delta_t_mode}")
-    out.append(f"start_jitter_s = {s.start_jitter_s:g}")
+
+    def write_block(obj, keys):
+        defaults = {f.name: f.default for f in fields(obj)}
+        for key, attr, _, write in keys:
+            value = getattr(obj, attr)
+            if value != defaults[attr]:
+                out.append(f"{key} = {write(value)}")
+
+    write_block(s, _SCENARIO_KEYS)
     for f in s.flows:
         out.append("[flow]")
-        out.append(f"kind = {f.kind}")
-        out.append(f"start_s = {f.start_s:g}")
-        out.append(f"slow_start = {'on' if f.slow_start else 'off'}")
-        if f.kind == "ledbat":
-            out.append(f"pacing = {'on' if f.pacing else 'off'}")
-            out.append(f"target_ms = {f.target_ms:g}")
-            if f.gain is not None:
-                out.append(f"gain = {f.gain[0]}/{f.gain[1]}")
-            out.append(f"base_histo_min = {f.base_histo_min}")
-            if f.clock_offset_us:
-                out.append(f"clock_offset_us = {f.clock_offset_us}")
-            if f.pin_zero_queuing_delay:
-                out.append("pin_zero_queuing_delay = on")
+        write_block(f, _FLOW_KEYS)
     return "\n".join(out) + "\n"
 
 
@@ -668,8 +629,8 @@ def extract_check_facts(result: RunResult) -> RunCheckFacts:
     )
     min_cwnd = min(min(series) for series in result.trace.cwnd_pkts.values())
     gaps_ok = True
-    for fs in result.flow_stats:
-        for (t_prev, _, _), (t_cur, _, gate) in zip(fs.halvings, fs.halvings[1:]):
+    for halvings in result.trace.halvings.values():
+        for (t_prev, _, _), (t_cur, _, gate) in zip(halvings, halvings[1:]):
             if t_cur - t_prev < gate:
                 gaps_ok = False
     return RunCheckFacts(

@@ -16,31 +16,13 @@ per RTT when the queuing delay is twice the target. On loss the window halves
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Engine
 from .network import Bottleneck, Packet
-from .transport import SenderBase
+from .transport import MIN_CWND_PKTS, FlowSpec, SenderBase
 
 SLOT_US = 60_000_000  # one minute of simulation time per minima slot
-
-
-@dataclass
-class LedbatConfig:
-    target_us: int = 25_000
-    gain: Fraction | None = None  # per-us window gain; None means 1/target_us
-    min_cwnd_pkts: float = 1.0
-    pacing: bool = True
-    slow_start: bool = False
-    base_histo_minutes: int = 2
-    pin_zero_queuing_delay: bool = False  # fault injection: estimator output forced to 0
-
-    def __post_init__(self):
-        if self.target_us <= 0:
-            raise ValueError("target_us must be positive")
-        if not 2 <= self.base_histo_minutes <= 10:
-            raise ValueError("base_histo_minutes must be within [2, 10]")
 
 
 class BaseDelayHistory:
@@ -78,31 +60,28 @@ class LedbatFlow(SenderBase):
     kind = "ledbat"
 
     def __init__(
-        self,
-        engine: Engine,
-        flow_id: int,
-        link: Bottleneck,
-        packet_bytes: int,
-        config: LedbatConfig | None = None,
+        self, engine: Engine, flow_id: int, link: Bottleneck, packet_bytes: int, spec: FlowSpec
     ):
-        config = config if config is not None else LedbatConfig()
-        super().__init__(engine, flow_id, link, packet_bytes, config.min_cwnd_pkts)
-        self.config = config
-        gain = config.gain if config.gain is not None else Fraction(1, config.target_us)
+        super().__init__(engine, flow_id, link, packet_bytes)
+        # read on every ack, so held as plain attributes
+        self.target_us = spec.target_us
+        self.pacing = spec.pacing
+        self.pin_zero_queuing_delay = spec.pin_zero_queuing_delay
+        gain = Fraction(*spec.gain) if spec.gain is not None else Fraction(1, self.target_us)
         # kept as an exact rational: the per-ack ratio gain*off_target is formed
         # before dividing by cwnd, so the default gain gives exactly 1.0/cwnd
         # at zero queuing delay
         self._gain_num = gain.numerator
         self._gain_den = gain.denominator
-        self.history = BaseDelayHistory(config.base_histo_minutes)
+        self.history = BaseDelayHistory(spec.base_histo_min)
         self.base_delay_us: int | None = None
         self.current_delay_us: int | None = None
-        self.ss_active = config.slow_start
+        self.ss_active = spec.slow_start
         self.ssthresh = math.inf
         self.max_update_ratio = 0.0  # largest gain*off_target seen, in packets
 
     def queuing_delay_est_us(self) -> int:
-        if self.config.pin_zero_queuing_delay or self.base_delay_us is None:
+        if self.pin_zero_queuing_delay or self.base_delay_us is None:
             return 0
         return self.current_delay_us - self.base_delay_us
 
@@ -116,25 +95,25 @@ class LedbatFlow(SenderBase):
             if self.cwnd > self.ssthresh:
                 self.ss_active = False
             return
-        off_target = self.config.target_us - self.queuing_delay_est_us()
+        off_target = self.target_us - self.queuing_delay_est_us()
         ratio = (self._gain_num * off_target) / self._gain_den
         if ratio > self.max_update_ratio:
             self.max_update_ratio = ratio
         self.cwnd += ratio / self.cwnd
-        if self.cwnd < self.min_cwnd:
-            self.cwnd = self.min_cwnd
+        if self.cwnd < MIN_CWND_PKTS:
+            self.cwnd = MIN_CWND_PKTS
 
     def on_loss(self, now: int) -> None:
         if self.ss_active:
             # remember half the overshoot window, restart from the floor, and
             # keep doubling until the window passes it again
             ssthresh = self.cwnd / 2.0
-            if self._halve(now, self.min_cwnd):
+            if self._halve(now, MIN_CWND_PKTS):
                 self.ssthresh = ssthresh
         else:
-            self._halve(now, max(self.cwnd / 2.0, self.min_cwnd))
+            self._halve(now, max(self.cwnd / 2.0, MIN_CWND_PKTS))
 
     def pacing_gap_us(self) -> int:
-        if not self.config.pacing or self.rtt_est_us is None:
+        if not self.pacing or self.rtt_est_us is None:
             return 0
         return max(1, int(round(self.rtt_est_us / self.cwnd)))

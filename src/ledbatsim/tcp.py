@@ -8,34 +8,20 @@ delay-based flow so the two compete on identical machinery.
 """
 
 import math
-from dataclasses import dataclass
 
 from .engine import Engine
 from .network import Bottleneck, Packet
-from .transport import SenderBase
-
-
-@dataclass
-class TcpConfig:
-    slow_start: bool = False
-    min_cwnd_pkts: float = 1.0
+from .transport import MIN_CWND_PKTS, FlowSpec, SenderBase
 
 
 class TcpFlow(SenderBase):
     kind = "tcp"
 
     def __init__(
-        self,
-        engine: Engine,
-        flow_id: int,
-        link: Bottleneck,
-        packet_bytes: int,
-        config: TcpConfig | None = None,
+        self, engine: Engine, flow_id: int, link: Bottleneck, packet_bytes: int, spec: FlowSpec
     ):
-        config = config if config is not None else TcpConfig()
-        super().__init__(engine, flow_id, link, packet_bytes, config.min_cwnd_pkts)
-        self.config = config
-        self.ss_active = config.slow_start
+        super().__init__(engine, flow_id, link, packet_bytes)
+        self.ss_active = spec.slow_start
         self.ssthresh = math.inf
 
     def on_new_ack(self, ack: Packet, newly_acked: int, now: int) -> None:
@@ -46,6 +32,6 @@ class TcpFlow(SenderBase):
 
     def on_loss(self, now: int) -> None:
         ssthresh = self.cwnd / 2.0
-        if self._halve(now, max(self.cwnd / 2.0, self.min_cwnd)):
+        if self._halve(now, max(self.cwnd / 2.0, MIN_CWND_PKTS)):
             self.ssthresh = ssthresh
             self.ss_active = False

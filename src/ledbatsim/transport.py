@@ -15,7 +15,11 @@ Flightsize is next_seq-1-highest_acked: packets sent and not yet cumulatively
 acked, including any that were dropped but not yet recovered. A new send
 requires cwnd - flightsize >= 1, which keeps flightsize within ceil(cwnd) at
 send time; right after a halving flightsize may exceed cwnd until acks drain.
+
+FlowSpec: the one configuration of a flow, from scenario file to sender.
 """
+
+from dataclasses import dataclass
 
 from .engine import Engine, EventKind
 from .network import Bottleneck, Packet
@@ -23,6 +27,29 @@ from .network import Bottleneck, Packet
 ACK_BYTES = 40
 DUPACK_THRESHOLD = 3
 MIN_TIMEOUT_US = 1_000_000
+MIN_CWND_PKTS = 1.0  # window floor, in packets, for both controllers
+
+
+@dataclass
+class FlowSpec:
+    """One flow as a scenario states it; the senders read it at construction.
+
+    Bounds are checked by Scenario.validate, once per run.
+    """
+
+    kind: str  # "ledbat" | "tcp"
+    start_s: float = 0.0
+    slow_start: bool = False
+    pacing: bool = True  # ledbat only; tcp always sends in batch
+    target_ms: float = 25.0
+    gain: tuple[int, int] | None = None  # rational per-us gain; None -> 1/target
+    base_histo_min: int = 2
+    clock_offset_us: int = 0
+    pin_zero_queuing_delay: bool = False  # fault injection: estimator output forced to 0
+
+    @property
+    def target_us(self) -> int:
+        return int(round(self.target_ms * 1000))
 
 
 class Receiver:
@@ -67,21 +94,13 @@ class SenderBase:
 
     kind = "base"
 
-    def __init__(
-        self,
-        engine: Engine,
-        flow_id: int,
-        link: Bottleneck,
-        packet_bytes: int,
-        min_cwnd_pkts: float = 1.0,
-    ):
+    def __init__(self, engine: Engine, flow_id: int, link: Bottleneck, packet_bytes: int):
         self.engine = engine
         self.flow_id = flow_id
         self.link = link
         self.packet_bytes = packet_bytes
-        self.min_cwnd = float(min_cwnd_pkts)
 
-        self.cwnd = self.min_cwnd
+        self.cwnd = MIN_CWND_PKTS
         self.next_seq = 1
         self.highest_acked = 0
         self.dupacks = 0

@@ -91,6 +91,9 @@ def test_run_bad_sample_period_exits_2(tmp_path, scn_file, capsys):
 
 
 SUB_US_TARGET = TINY_SCENARIO + "target_ms = 0.0004\n"  # rounds to 0 us
+NAN_TARGET = TINY_SCENARIO + "target_ms = nan\n"
+INF_DURATION = TINY_SCENARIO.replace("duration_s = 15\n", "duration_s = inf\n")
+NAN_JITTER = TINY_SCENARIO.replace("duration_s = 15\n", "duration_s = 15\nstart_jitter_s = nan\n")
 # a 5 s run with U(0,10) s second starts: seeds 2 and 3 draw a start inside
 # the run, so only a bound on the latest possible draw rejects them
 LATE_UNIFORM_START = TINY_SCENARIO.replace(
@@ -101,7 +104,11 @@ LATE_UNIFORM_START = TINY_SCENARIO.replace(
     (SUB_US_TARGET, "0"),
     (LATE_UNIFORM_START, "2"),
     (LATE_UNIFORM_START, "3"),
-], ids=["sub-us-target", "uniform-seed2", "uniform-seed3"])
+    (NAN_TARGET, "0"),
+    (INF_DURATION, "0"),
+    (NAN_JITTER, "0"),
+], ids=["sub-us-target", "uniform-seed2", "uniform-seed3", "nan-target", "inf-duration",
+        "nan-jitter"])
 def test_run_rejects_scenario_the_run_cannot_use(tmp_path, capsys, text, seed):
     p = tmp_path / "bad.scn"
     p.write_text(text, encoding="utf-8")

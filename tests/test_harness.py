@@ -72,6 +72,8 @@ def test_validate_rejects_bad_top_level(patch, fragment):
     (FlowSpec("ledbat", target_ms=0.0004), "target_ms"),  # rounds to 0 us
     (FlowSpec("ledbat", base_histo_min=1), "base_histo_min"),
     (FlowSpec("ledbat", gain=(0, 5)), "gain"),
+    (FlowSpec("ledbat", target_ms=-5.0), "target_ms"),
+    (FlowSpec("ledbat", base_histo_min=11), "base_histo_min"),
 ])
 def test_validate_rejects_bad_flow(flow, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -169,13 +171,23 @@ def test_scenario_text_round_trip():
     scn = _tiny(flows=[
         FlowSpec("tcp", slow_start=True),
         FlowSpec("ledbat", start_s=3.0, gain=(1, 50_000), base_histo_min=4,
-                 clock_offset_us=250, pacing=False),
-    ])
-    text = format_scenario(scn)
-    again = parse_scenario_text(text, origin="round.scn")
-    assert format_scenario(again) == text
-    assert again.flows[1].gain == (1, 50_000)
-    assert again.flows[1].clock_offset_us == 250
+                 clock_offset_us=250, pacing=False, pin_zero_queuing_delay=True),
+    ], seed=7, delta_t_mode="uniform", start_jitter_s=0.25, packet_bytes=1000)
+    assert parse_scenario_text(format_scenario(scn), origin="round.scn") == scn
+
+
+# :g kept 6 significant digits, so every one of these read back changed
+SEVEN_DIGITS = _tiny(
+    capacity_bps=1_234_567,
+    rtt_base_us=1_234_567,
+    flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=12.345678, target_ms=1234.5678)],
+)
+
+
+@pytest.mark.parametrize("scn", [get_preset(n) for n in preset_names()] + [SEVEN_DIGITS],
+                         ids=preset_names() + ["seven-digits"])
+def test_scenario_file_round_trips_exactly(scn):
+    assert parse_scenario_text(format_scenario(scn)) == scn
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -192,6 +204,15 @@ def test_scenario_text_round_trip():
     ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\n"
      "[flow]\nkind = tcp\ngain = 1:2\n", "num/den"),
     ("ledbatsim-scenario v1\ncapacity_mbps = ten\nbuffer_pkts = 40\n"
+     "[flow]\nkind = tcp\n", "bad value for 'capacity_mbps'"),
+    # numbers must be finite: nan slipped past validation, inf crashed the run
+    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\nduration_s = inf\n"
+     "[flow]\nkind = tcp\n", ":4: bad value for 'duration_s'"),
+    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\nstart_jitter_s = nan\n"
+     "[flow]\nkind = tcp\n", ":4: bad value for 'start_jitter_s'"),
+    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\n"
+     "[flow]\nkind = ledbat\ntarget_ms = nan\n", ":6: bad value for 'target_ms'"),
+    ("ledbatsim-scenario v1\ncapacity_mbps = 1e305\nbuffer_pkts = 40\n"
      "[flow]\nkind = tcp\n", "bad value for 'capacity_mbps'"),
 ])
 def test_parse_errors_carry_origin_and_line(text, fragment):
@@ -288,8 +309,7 @@ def _starvation_trace(flow1_rates_bps, capacity_bps=10_000_000, window_s=10):
     """Synthetic two-flow trace: flow 0 saturates, flow 1 follows the given
     per-window rates (None = not yet started)."""
     n_windows = len(flow1_rates_bps)
-    tr = TraceSet([0, 1], ["tcp", "ledbat"], capacity_bps, 1500,
-                  n_windows * window_s * S, S)
+    tr = TraceSet([0, 1], capacity_bps, n_windows * window_s * S)
     cum0 = cum1 = 0
     tr.sample_t_us.append(0)
     tr.delivered_bytes[0].append(0)
@@ -304,7 +324,7 @@ def _starvation_trace(flow1_rates_bps, capacity_bps=10_000_000, window_s=10):
 
 
 def test_starvation_needs_two_flows():
-    tr = TraceSet([0], ["tcp"], 10_000_000, 1500, 10 * S, S)
+    tr = TraceSet([0], 10_000_000, 10 * S)
     with pytest.raises(UsageError, match="two flows"):
         detect_starvation(tr)
 

@@ -3,13 +3,11 @@ pacing schedule."""
 
 import math
 
-import pytest
-
 from ledbatsim.engine import Engine
-from ledbatsim.ledbat import SLOT_US, BaseDelayHistory, LedbatConfig, LedbatFlow
+from ledbatsim.ledbat import SLOT_US, BaseDelayHistory, LedbatFlow
 from ledbatsim.network import Packet
 from ledbatsim.tcp import TcpFlow
-from ledbatsim.transport import ACK_BYTES
+from ledbatsim.transport import ACK_BYTES, FlowSpec
 
 
 class _FakeLink:
@@ -21,8 +19,8 @@ class _FakeLink:
         return True
 
 
-def _flow(cwnd=10.0, **cfg_kwargs):
-    flow = LedbatFlow(Engine(), 0, _FakeLink(), 1500, LedbatConfig(**cfg_kwargs))
+def _flow(cwnd=10.0, **spec_kwargs):
+    flow = LedbatFlow(Engine(), 0, _FakeLink(), 1500, FlowSpec("ledbat", **spec_kwargs))
     flow.cwnd = cwnd
     return flow
 
@@ -34,25 +32,6 @@ def _ack(delay_us, acked=1):
 
 def _feed(flow, delay_us, now=0):
     flow.on_delay_sample(_ack(delay_us), now)
-
-
-# -- config ------------------------------------------------------------------
-
-
-def test_config_defaults():
-    cfg = LedbatConfig()
-    assert cfg.target_us == 25_000
-    assert cfg.gain is None  # means 1/target
-    assert cfg.min_cwnd_pkts == 1.0
-    assert cfg.pacing and not cfg.slow_start
-    assert cfg.base_histo_minutes == 2
-
-
-@pytest.mark.parametrize("bad", [{"target_us": 0}, {"target_us": -5},
-                                 {"base_histo_minutes": 1}, {"base_histo_minutes": 11}])
-def test_config_rejects_out_of_range(bad):
-    with pytest.raises(ValueError):
-        LedbatConfig(**bad)
 
 
 # -- window law ----------------------------------------------------------------
@@ -99,8 +78,7 @@ def test_update_ratio_capped_at_one_packet_with_default_gain():
 
 
 def test_custom_gain_scales_the_step():
-    from fractions import Fraction
-    flow = _flow(cwnd=10.0, gain=Fraction(1, 50_000))  # half the default
+    flow = _flow(cwnd=10.0, gain=(1, 50_000))  # half the default
     _feed(flow, 50_000)
     flow.on_new_ack(_ack(50_000), 1, 0)
     assert flow.cwnd == 10.0 + 0.5 / 10.0
@@ -109,8 +87,8 @@ def test_custom_gain_scales_the_step():
 def test_pinned_estimator_degenerates_to_loss_based_law():
     eng = Engine()
     led = LedbatFlow(eng, 0, _FakeLink(), 1500,
-                     LedbatConfig(pacing=False, pin_zero_queuing_delay=True))
-    tcp = TcpFlow(eng, 1, _FakeLink(), 1500)
+                     FlowSpec("ledbat", pacing=False, pin_zero_queuing_delay=True))
+    tcp = TcpFlow(eng, 1, _FakeLink(), 1500, FlowSpec("tcp"))
     led.cwnd = tcp.cwnd = 2.0
     for i in range(1000):
         delay = 50_000 + (i * 7919) % 40_000  # estimator input is ignored

@@ -4,8 +4,8 @@ import math
 
 from ledbatsim.engine import Engine
 from ledbatsim.network import Packet
-from ledbatsim.tcp import TcpConfig, TcpFlow
-from ledbatsim.transport import ACK_BYTES
+from ledbatsim.tcp import TcpFlow
+from ledbatsim.transport import ACK_BYTES, FlowSpec
 
 
 class _FakeLink:
@@ -13,8 +13,8 @@ class _FakeLink:
         return True
 
 
-def _flow(cwnd=10.0, **cfg):
-    flow = TcpFlow(Engine(), 0, _FakeLink(), 1500, TcpConfig(**cfg))
+def _flow(cwnd=10.0, **spec_kwargs):
+    flow = TcpFlow(Engine(), 0, _FakeLink(), 1500, FlowSpec("tcp", **spec_kwargs))
     flow.cwnd = cwnd
     return flow
 
