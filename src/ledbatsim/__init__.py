@@ -8,18 +8,9 @@ from .ledbat import LedbatFlow
 from .tcp import TcpFlow
 from .network import AckPath, Bottleneck, Packet
 from .metrics import AllZeroRates, MetricsReport, aggregate_runs, jain_fairness, loss_rate, utilization
-from .harness import (
-    FlowSpec,
-    RunResult,
-    Scenario,
-    UsageError,
-    detect_starvation,
-    get_preset,
-    load_scenario,
-    preset_names,
-    run_scenario,
-    run_table1,
-)
+from .harness import RunResult, detect_starvation, run_scenario, run_table1
+from .scenario import Scenario, UsageError, get_preset, load_scenario, preset_names
+from .transport import FlowSpec
 
 __all__ = [
     "Engine",

@@ -15,17 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (
-    FlowSpec,
-    RunResult,
-    Scenario,
-    detect_starvation,
-    extract_check_facts,
-    get_preset,
-    run_scenario,
-    run_table1,
-)
+from .harness import RunResult, detect_starvation, extract_check_facts, run_scenario, run_table1
 from .metrics import jain_fairness, utilization
+from .scenario import Scenario, get_preset
+from .transport import FlowSpec
 
 S = 1_000_000  # us per second
 
@@ -185,10 +178,9 @@ _CELL_TL_ADSL_NOSS = "table1-tl-c2-b10-dt2-noss"
 _CELL_LL_ADSL_SS = "table1-ll-c2-b10-dt2-ss"
 
 
-def _criterion_5(table_runs, seed, jobs, progress=None):
+def _criterion_5(table_runs, seed, jobs):
     cells = ["ll-c10-b50-dt10", "tl-c2-b10-dt2-noss", "ll-c2-b10-dt2-ss"]
-    summaries, facts = run_table1(table_runs, seed, jobs=jobs, cells=cells,
-                                  progress=progress)
+    summaries, facts = run_table1(table_runs, seed, jobs=jobs, cells=cells)
     by_name = {s.name: s for s in summaries}
     results = []
 
@@ -228,10 +220,9 @@ def _criterion_5(table_runs, seed, jobs, progress=None):
 
 
 def _offset_scenario(offset_us: int) -> Scenario:
-    base = get_preset("fig2b")
-    flows = [replace(f) for f in base.flows]
-    flows[1].clock_offset_us = offset_us
-    return replace(base, name=f"offset-{offset_us}", flows=flows, duration_s=70.0)
+    base = get_preset("fig2b")  # an independent copy, flows included
+    base.flows[1].clock_offset_us = offset_us
+    return replace(base, name=f"offset-{offset_us}", duration_s=70.0)
 
 
 def _criterion_6b():
@@ -353,8 +344,7 @@ def _criterion_7():
     )]
 
 
-def run_acceptance(table_runs: int = 20, seed: int = 7, jobs: int = 1,
-                   progress=None) -> list[CriterionResult]:
+def run_acceptance(table_runs: int = 20, seed: int = 7, jobs: int = 1) -> list[CriterionResult]:
     """Run every acceptance criterion; returns one result per criterion id."""
     results: list[CriterionResult] = []
     facts = []
@@ -362,8 +352,6 @@ def run_acceptance(table_runs: int = 20, seed: int = 7, jobs: int = 1,
     def scenario_run(preset: str) -> RunResult:
         r = run_scenario(replace(get_preset(preset), seed=seed))
         facts.append(extract_check_facts(r))
-        if progress:
-            progress(preset)
         return r
 
     fig2a = scenario_run("fig2a")
@@ -377,7 +365,7 @@ def run_acceptance(table_runs: int = 20, seed: int = 7, jobs: int = 1,
     results += _criterion_3(fig3mid)
     results += _criterion_4(fig3bot)
 
-    table_results, table_facts = _criterion_5(table_runs, seed, jobs, progress=None)
+    table_results, table_facts = _criterion_5(table_runs, seed, jobs)
     results += table_results
     facts.extend(table_facts)
 

@@ -20,15 +20,13 @@ from pathlib import Path
 from . import __version__
 from .harness import (
     DEFAULT_SAMPLE_US,
-    UsageError,
-    load_scenario,
-    preset_names,
     run_scenario,
     run_table1,
     write_summary_csv,
     write_table_csv,
     write_trace_csv,
 )
+from .scenario import UsageError, load_scenario, preset_names
 
 FIG2_PRESETS = ["fig2a", "fig2b", "tcp-alone-hs-b40"]
 FIG3_PRESETS = ["fig3-top", "fig3-mid", "fig3-bottom"]

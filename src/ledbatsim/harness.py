@@ -1,124 +1,28 @@
-"""Scenario harness: builds flows onto a shared bottleneck, runs them, samples
-traces, and drives seeded multi-run batches for the summary grid.
+"""Running and recording a scenario: wires its flows onto a shared
+bottleneck, runs them, samples traces, detects starvation, drives seeded
+multi-run batches for the summary grid, and writes the CSV outputs.
 
-A scenario is deterministic given its seed: the only randomness is the second
-flow's start time (a uniform start offset and/or a small start jitter), drawn
-from a named, splittable generator (PCG64 seeded by [base_seed, cell_index,
-run_index]). Everything inside a run is exact integer-microsecond event
+What a scenario is (model, bounds, presets, file format) lives in
+scenario.py. Everything inside a run is exact integer-microsecond event
 processing, so identical inputs give bit-identical traces.
 """
 
 import bisect
-import math
-from dataclasses import MISSING, dataclass, field, fields, replace
-
-import numpy as np
+import contextlib
+import gc
+from dataclasses import dataclass
 
 from .engine import Engine, EventKind
 from .ledbat import LedbatFlow
 from .metrics import MetricsReport, aggregate_runs, compute_report
 from .network import AckPath, Bottleneck, service_time_us
+from .scenario import Scenario, UsageError, resolve_starts, rng_for_run, table1_cells
 from .tcp import TcpFlow
-from .transport import FlowSpec, Receiver
+from .transport import Receiver
 
 DEFAULT_SAMPLE_US = 10_000
-UNIFORM_START_MAX_S = 10.0  # delta_t_mode "uniform" draws the second start from U(0, this)
-
-
-class UsageError(Exception):
-    """Caller misuse: bad invocation, malformed input, impossible request."""
-
-
-class ParseError(UsageError):
-    """Scenario file rejected; message carries file/line context."""
-
-
-class ValidationError(UsageError):
-    """Scenario contents out of range."""
-
-
-# ---------------------------------------------------------------------------
-# scenario model
-
-
-@dataclass
-class Scenario:
-    # keyword-only, so that its default can stand before the required fields
-    name: str = field(default="scenario", kw_only=True)
-    capacity_bps: int
-    buffer_pkts: int
-    flows: list[FlowSpec]
-    rtt_base_us: int = 50_000
-    packet_bytes: int = 1500
-    duration_s: float = 300.0
-    seed: int = 0
-    delta_t_mode: str = "fixed"  # "fixed" | "uniform" (second start ~ U(0,10) s)
-    start_jitter_s: float = 0.0  # extra U(0, jitter) on the second flow's start
-
-    def validate(self) -> None:
-        if self.capacity_bps <= 0:
-            raise ValidationError("capacity_bps must be positive")
-        if self.buffer_pkts < 1:
-            raise ValidationError("buffer_pkts must be at least 1")
-        if self.packet_bytes <= 0:
-            raise ValidationError("packet_bytes must be positive")
-        if self.duration_s <= 0:
-            raise ValidationError("duration_s must be positive")
-        if not self.flows:
-            raise ValidationError("scenario needs at least one flow")
-        if self.delta_t_mode not in ("fixed", "uniform"):
-            raise ValidationError(f"unknown delta_t_mode {self.delta_t_mode!r}")
-        if self.start_jitter_s < 0:
-            raise ValidationError("start_jitter_s must be non-negative")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
-        svc = service_time_us(self.packet_bytes, self.capacity_bps)
-        if self.rtt_base_us // 2 < svc:
-            raise ValidationError(
-                "rtt_base_us too small: one-way path cannot absorb the service time"
-            )
-        for i, f in enumerate(self.flows):
-            if f.kind not in ("ledbat", "tcp"):
-                raise ValidationError(f"flow {i}: unknown kind {f.kind!r}")
-            if not 0 <= f.start_s < self.duration_s:
-                raise ValidationError(f"flow {i}: start_s outside [0, duration)")
-            if f.target_us < 1:
-                raise ValidationError(f"flow {i}: target_ms must be at least 0.001 (1 us)")
-            if not 2 <= f.base_histo_min <= 10:
-                raise ValidationError(f"flow {i}: base_histo_min must be within [2, 10]")
-            if f.gain is not None and (f.gain[0] <= 0 or f.gain[1] <= 0):
-                raise ValidationError(f"flow {i}: gain must be a positive rational")
-        if len(self.flows) > 1:
-            # the latest start resolve_starts can draw for the second flow
-            if self.delta_t_mode == "uniform":
-                latest_s = UNIFORM_START_MAX_S
-            else:
-                latest_s = self.flows[1].start_s + self.start_jitter_s
-            if latest_s >= self.duration_s:
-                raise ValidationError(
-                    f"second flow may start at {latest_s:g} s, not before duration_s"
-                )
-
-    @property
-    def duration_us(self) -> int:
-        return int(round(self.duration_s * 1_000_000))
-
-
-def rng_for_run(base_seed: int, cell_index: int, run_index: int) -> np.random.Generator:
-    """The run-level generator: PCG64 split by (base seed, cell, run index)."""
-    seq = np.random.SeedSequence([int(base_seed), int(cell_index), int(run_index)])
-    return np.random.Generator(np.random.PCG64(seq))
-
-
-def resolve_starts(scenario: Scenario, rng: np.random.Generator) -> Scenario:
-    """Replace random start-time modes with concrete start times."""
-    flows = [replace(f) for f in scenario.flows]
-    if len(flows) > 1:
-        if scenario.delta_t_mode == "uniform":
-            flows[1].start_s = float(rng.uniform(0.0, UNIFORM_START_MAX_S))
-        elif scenario.start_jitter_s > 0:
-            flows[1].start_s += float(rng.uniform(0.0, scenario.start_jitter_s))
-    return replace(scenario, flows=flows, delta_t_mode="fixed", start_jitter_s=0.0)
+STARVATION_WINDOW_S = 10.0
+STARVATION_THRESHOLD = 0.05  # of the fair share
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +45,6 @@ class TraceSet:
 
         self.sample_t_us: list[int] = []
         self.queue_pkts: list[int] = []
-        self.link_delivered_bytes: list[int] = []
         self.link_offered: list[int] = []
         self.link_dropped: list[int] = []
         self.cwnd_pkts = {fid: [] for fid in self.flow_ids}
@@ -163,8 +66,9 @@ class TraceSet:
         return series[self._sample_index_at(t1_us)] - series[self._sample_index_at(t0_us)]
 
     def delivered_bytes_between(self, t0_us: int, t1_us: int, flow_id: int | None = None) -> int:
-        series = self.link_delivered_bytes if flow_id is None else self.delivered_bytes[flow_id]
-        return self._between(series, t0_us, t1_us)
+        if flow_id is None:  # the link: whole bytes, so the sum over flows is exact
+            return sum(self.delivered_bytes_between(t0_us, t1_us, fid) for fid in self.flow_ids)
+        return self._between(self.delivered_bytes[flow_id], t0_us, t1_us)
 
     def offered_between(self, t0_us: int, t1_us: int) -> int:
         return self._between(self.link_offered, t0_us, t1_us)
@@ -175,11 +79,7 @@ class TraceSet:
 
 @dataclass
 class FlowStats:
-    flow_id: int
     kind: str
-    final_cwnd: float
-    rtt_est_us: int | None
-    base_delay_us: int | None
     retransmits: int
     max_update_ratio: float  # ledbat: largest gain*off_target applied (packets)
     timeouts: list[int]  # safety-timeout firing times (us)
@@ -210,7 +110,6 @@ class _Simulation:
             scenario.capacity_bps,
             scenario.rtt_base_us // 2 - svc,
             scenario.buffer_pkts,
-            on_drop=self._on_drop,
         )
         self.ack_path = AckPath(self.engine, scenario.rtt_base_us // 2)
 
@@ -230,9 +129,6 @@ class _Simulation:
         eng.register(EventKind.FLOW_START, self._on_flow_start)
         eng.register(EventKind.STATS_SAMPLE, self._on_sample)
         eng.register(EventKind.SIM_END, lambda _payload: None)
-
-    def _on_drop(self, now: int, pkt) -> None:
-        self.trace.drops.append((now, pkt.flow_id, pkt.seq))
 
     def _on_arrival(self, pkt) -> None:
         now = self.engine.now
@@ -254,7 +150,6 @@ class _Simulation:
         link = self.link
         tr.sample_t_us.append(now)
         tr.queue_pkts.append(link.queue_pkts())
-        tr.link_delivered_bytes.append(link.bytes_delivered)
         tr.link_offered.append(link.offered)
         tr.link_dropped.append(link.dropped)
         for s in self.senders:
@@ -282,6 +177,7 @@ class _Simulation:
             self.engine.schedule(int(round(spec.start_s * 1_000_000)), EventKind.FLOW_START, fid)
         self.engine.schedule(self.duration_us, EventKind.SIM_END)
         self.engine.run(self.duration_us)
+        self.trace.drops = self.link.drops
         for s in self.senders:
             self.trace.halvings[s.flow_id] = list(s.halvings)
 
@@ -302,11 +198,7 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US) -> RunR
     metrics = compute_report(sim.trace, resolved.capacity_bps, interval)
     stats = [
         FlowStats(
-            flow_id=s.flow_id,
             kind=s.kind,
-            final_cwnd=s.cwnd,
-            rtt_est_us=s.rtt_est_us,
-            base_delay_us=getattr(s, "base_delay_us", None),
             retransmits=s.retransmits,
             max_update_ratio=getattr(s, "max_update_ratio", 0.0),
             timeouts=list(s.timeouts),
@@ -327,14 +219,14 @@ class StarvationEpisode:
     t1_us: int
 
 
-def detect_starvation(trace: TraceSet, window_s: float = 10.0, threshold: float = 0.05):
-    """Windows where one flow runs under threshold*fair_share while another
-    holds more than half the fair share; consecutive windows merge into
-    episodes. Needs a multi-flow trace."""
+def detect_starvation(trace: TraceSet):
+    """Windows of STARVATION_WINDOW_S where one flow runs under
+    STARVATION_THRESHOLD of the fair share while another holds more than half
+    of it; consecutive windows merge into episodes. Needs a multi-flow trace."""
     if len(trace.flow_ids) < 2:
         raise UsageError("starvation detection needs at least two flows")
     fair_bps = trace.capacity_bps / len(trace.flow_ids)
-    window_us = int(round(window_s * 1_000_000))
+    window_us = int(round(STARVATION_WINDOW_S * 1_000_000))
     end_us = trace.sample_t_us[-1]
     episodes: list[StarvationEpisode] = []
     open_eps: dict[int, StarvationEpisode] = {}
@@ -348,7 +240,7 @@ def detect_starvation(trace: TraceSet, window_s: float = 10.0, threshold: float 
         for fid in trace.flow_ids:
             if trace.delivered_bytes[fid][i1] == 0:
                 continue  # flow has not sent anything yet: silence, not starvation
-            starved = rates[fid] < threshold * fair_bps and any(
+            starved = rates[fid] < STARVATION_THRESHOLD * fair_bps and any(
                 rates[g] > 0.5 * fair_bps for g in trace.flow_ids if g != fid
             )
             if starved:
@@ -363,236 +255,6 @@ def detect_starvation(trace: TraceSet, window_s: float = 10.0, threshold: float 
     episodes.extend(open_eps.values())
     episodes.sort(key=lambda e: (e.t0_us, e.flow_id))
     return episodes
-
-
-# ---------------------------------------------------------------------------
-# presets
-
-
-def _two_flow(name, cap_mbps, buffer_pkts, kind0, kind1, dt_s=0.0, slow_start=False,
-              jitter_s=0.0, dt_mode="fixed"):
-    return Scenario(
-        name=name,
-        capacity_bps=int(round(cap_mbps * 1_000_000)),
-        buffer_pkts=buffer_pkts,
-        flows=[
-            FlowSpec(kind=kind0, start_s=0.0, slow_start=slow_start),
-            FlowSpec(kind=kind1, start_s=dt_s, slow_start=slow_start),
-        ],
-        delta_t_mode=dt_mode,
-        start_jitter_s=jitter_s,
-    )
-
-
-def _build_presets() -> dict[str, Scenario]:
-    p: dict[str, Scenario] = {}
-
-    def add(scn: Scenario, *aliases: str):
-        p[scn.name] = scn
-        for a in aliases:
-            p[a] = scn
-
-    add(_two_flow("hs-b40-tcp-vs-ledbat", 10, 40, "tcp", "ledbat"), "fig2a")
-    add(_two_flow("hs-b40-ledbat-vs-ledbat", 10, 40, "ledbat", "ledbat"), "fig2b")
-    add(_two_flow("hs-b40-ledbat-pair-dt2", 10, 40, "ledbat", "ledbat", dt_s=2.0), "fig3-top")
-    add(_two_flow("hs-b40-ledbat-pair-dt10", 10, 40, "ledbat", "ledbat", dt_s=10.0), "fig3-mid")
-    add(_two_flow("hs-b100-ledbat-pair-dt10", 10, 100, "ledbat", "ledbat", dt_s=10.0), "fig3-bottom")
-    add(Scenario(
-        name="tcp-alone-hs-b40",
-        capacity_bps=10_000_000,
-        buffer_pkts=40,
-        flows=[FlowSpec(kind="tcp", start_s=0.0)],
-    ))
-    add(_two_flow("adsl-b10-tcp-vs-ledbat", 2, 10, "tcp", "ledbat"))
-    add(_two_flow("adsl-up-b10-tcp-vs-ledbat", 0.5, 10, "tcp", "ledbat"))
-    for scn in table1_cells():
-        add(scn)
-    return p
-
-
-def table1_cells() -> list[Scenario]:
-    """The summary grid in canonical order; list position seeds each cell."""
-    cells = []
-    for mix, kinds in (("tl", ("tcp", "ledbat")), ("ll", ("ledbat", "ledbat"))):
-        for cap_mbps, buf in ((2, 10), (10, 50)):
-            for dt_label in ("2", "10", "u"):
-                for ss in (False, True):
-                    name = f"table1-{mix}-c{cap_mbps}-b{buf}-dt{dt_label}-{'ss' if ss else 'noss'}"
-                    if dt_label == "u":
-                        scn = _two_flow(name, cap_mbps, buf, *kinds, dt_s=0.0,
-                                        slow_start=ss, dt_mode="uniform")
-                    else:
-                        scn = _two_flow(name, cap_mbps, buf, *kinds, dt_s=float(dt_label),
-                                        slow_start=ss, jitter_s=0.1)
-                    cells.append(scn)
-    return cells
-
-
-def get_preset(name: str) -> Scenario:
-    presets = _build_presets()
-    if name not in presets:
-        raise UsageError(f"unknown preset {name!r}; known: {', '.join(sorted(presets))}")
-    scn = presets[name]
-    return replace(scn, flows=[replace(f) for f in scn.flows])
-
-
-def preset_names() -> list[str]:
-    return sorted(_build_presets())
-
-
-# ---------------------------------------------------------------------------
-# scenario files
-
-_HEADER = "ledbatsim-scenario v1"
-
-_BOOL = {"on": True, "off": False, "true": True, "false": False}
-
-
-def _read_float(value: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{value!r} is not a finite number")
-    return x
-
-
-def _read_bool(value: str) -> bool:
-    if value.lower() not in _BOOL:
-        raise ValueError(f"expected on/off, got {value!r}")
-    return _BOOL[value.lower()]
-
-
-def _read_gain(value: str) -> tuple[int, int]:
-    parts = value.split("/")
-    if len(parts) != 2:
-        raise ValueError(f"expected num/den, got {value!r}")
-    return int(parts[0]), int(parts[1])
-
-
-def _scaled(scale: int):
-    """Read and write a file number whose unit is `scale` of the model's
-    integer unit (Mbps for bps, ms for us)."""
-    return lambda v: int(round(_read_float(v) * scale)), lambda n: repr(n / scale)
-
-
-# conversions in and out; repr writes the shortest text that reads back the
-# same float
-_STR = (str, str)
-_INT = (int, str)
-_FLOAT = (_read_float, repr)
-_ONOFF = (_read_bool, lambda b: "on" if b else "off")
-
-# (file key, attribute, read, write). An absent key takes the dataclass
-# default, and format_scenario leaves out every value equal to it.
-_SCENARIO_KEYS = [
-    ("name", "name", *_STR),
-    ("capacity_mbps", "capacity_bps", *_scaled(1_000_000)),
-    ("buffer_pkts", "buffer_pkts", *_INT),
-    ("rtt_base_ms", "rtt_base_us", *_scaled(1000)),
-    ("packet_bytes", "packet_bytes", *_INT),
-    ("duration_s", "duration_s", *_FLOAT),
-    ("seed", "seed", *_INT),
-    ("delta_t_mode", "delta_t_mode", *_STR),
-    ("start_jitter_s", "start_jitter_s", *_FLOAT),
-]
-_FLOW_KEYS = [
-    ("kind", "kind", *_STR),
-    ("start_s", "start_s", *_FLOAT),
-    ("slow_start", "slow_start", *_ONOFF),
-    ("pacing", "pacing", *_ONOFF),
-    ("target_ms", "target_ms", *_FLOAT),
-    ("gain", "gain", _read_gain, lambda g: f"{g[0]}/{g[1]}"),
-    ("base_histo_min", "base_histo_min", *_INT),
-    ("clock_offset_us", "clock_offset_us", *_INT),
-    ("pin_zero_queuing_delay", "pin_zero_queuing_delay", *_ONOFF),
-]
-
-
-def _read_block(cls, keys, block: dict[str, tuple[str, str]], where: str) -> dict:
-    """Constructor arguments for `cls` from one section's key -> (value, line)."""
-    required = {f.name for f in fields(cls)
-                if f.default is MISSING and f.default_factory is MISSING}
-    kwargs = {}
-    for key, attr, read, _ in keys:
-        if key in block:
-            value, at = block.pop(key)
-            try:
-                kwargs[attr] = read(value)
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"{at}: bad value for {key!r}: {exc}") from exc
-        elif attr in required:
-            raise ParseError(f"{where}: missing required key {key!r}")
-    if block:
-        key = sorted(block)[0]
-        raise ParseError(f"{block[key][1]}: unknown key {key!r}")
-    return kwargs
-
-
-def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _HEADER:
-        raise ParseError(f"{origin}:1: first line must be {_HEADER!r}")
-
-    top: dict[str, tuple[str, str]] = {}
-    flow_blocks: list[dict[str, tuple[str, str]]] = []
-    current = top
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "[flow]":
-            current = {}
-            flow_blocks.append(current)
-            continue
-        where = f"{origin}:{ln}"
-        if "=" not in line:
-            raise ParseError(f"{where}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in current:
-            raise ParseError(f"{where}: duplicate key {key!r}")
-        current[key] = (value.strip(), where)
-
-    top_kwargs = _read_block(Scenario, _SCENARIO_KEYS, top, origin)
-    if not flow_blocks:
-        raise ParseError(f"{origin}: no [flow] sections")
-    flows = [
-        FlowSpec(**_read_block(FlowSpec, _FLOW_KEYS, block, f"{origin} [flow] #{i}"))
-        for i, block in enumerate(flow_blocks)
-    ]
-    return Scenario(flows=flows, **top_kwargs)
-
-
-def load_scenario(name_or_path: str) -> Scenario:
-    """Resolve a preset name, or parse a scenario file."""
-    presets = _build_presets()
-    if name_or_path in presets:
-        return get_preset(name_or_path)
-    try:
-        with open(name_or_path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise UsageError(f"no preset or readable scenario file {name_or_path!r}: {exc}") from exc
-    return parse_scenario_text(text, origin=name_or_path)
-
-
-def format_scenario(s: Scenario) -> str:
-    """Inverse of parse_scenario_text, for diff-friendly scenario files:
-    parse_scenario_text(format_scenario(s)) == s, as long as no text value
-    holds a '#', a line break, or leading or trailing blanks."""
-    out = [_HEADER]
-
-    def write_block(obj, keys):
-        defaults = {f.name: f.default for f in fields(obj)}
-        for key, attr, _, write in keys:
-            value = getattr(obj, attr)
-            if value != defaults[attr]:
-                out.append(f"{key} = {write(value)}")
-
-    write_block(s, _SCENARIO_KEYS)
-    for f in s.flows:
-        out.append("[flow]")
-        write_block(f, _FLOW_KEYS)
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -641,15 +303,14 @@ def extract_check_facts(result: RunResult) -> RunCheckFacts:
     )
 
 
-def _batch_worker(args) -> tuple[MetricsReport, RunCheckFacts]:
-    scenario, sample_us = args
-    result = run_scenario(scenario, sample_us)
+def _batch_worker(scenario: Scenario) -> tuple[MetricsReport, RunCheckFacts]:
+    result = run_scenario(scenario)
+    # The engine's handler table holds bound methods of the simulation and the
+    # link, which both hold the engine: the finished run, its whole trace
+    # included, is cyclic garbage that would stay until a full collection
+    # happens to run, and a batch would hold many such runs at once.
+    gc.collect()
     return result.metrics, extract_check_facts(result)
-
-
-def resolve_cell_run(scenario: Scenario, base_seed: int, cell_index: int, run_index: int) -> Scenario:
-    """Concrete per-run scenario for one grid cell run."""
-    return resolve_starts(scenario, rng_for_run(base_seed, cell_index, run_index))
 
 
 def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
@@ -660,23 +321,23 @@ def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
     if runs_per_cell < 1:
         raise UsageError("runs_per_cell must be at least 1")
     grid = table1_cells()
-    work = []
+    work = []  # (cell index, concrete run scenario)
     selected = []
     for ci, scn in enumerate(grid):
         if cells and not any(sub in scn.name for sub in cells):
             continue
         selected.append((ci, scn))
         for ri in range(runs_per_cell):
-            work.append((ci, ri, resolve_cell_run(scn, base_seed, ci, ri)))
+            work.append((ci, resolve_starts(scn, rng_for_run(base_seed, ci, ri))))
     if not selected:
         raise UsageError("cell filter selected nothing")
 
-    outputs = _run_batch([(scn, DEFAULT_SAMPLE_US) for _, _, scn in work], jobs, progress)
+    outputs = _run_batch([scn for _, scn in work], jobs, progress)
 
     summaries = []
     all_facts = [facts for _, facts in outputs]
     by_cell: dict[int, list[MetricsReport]] = {}
-    for (ci, _, _), (metrics, _) in zip(work, outputs):
+    for (ci, _), (metrics, _) in zip(work, outputs):
         by_cell.setdefault(ci, []).append(metrics)
     for ci, scn in selected:
         agg = aggregate_runs(by_cell[ci])
@@ -697,22 +358,15 @@ def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
     return summaries, all_facts
 
 
-def _run_batch(args_list, jobs: int, progress=None):
+def _run_batch(scenarios: list[Scenario], jobs: int, progress=None):
     """Ordered map over runs; fold order is by input index however many workers."""
-    if jobs <= 1:
-        out = []
-        for i, args in enumerate(args_list):
-            out.append(_batch_worker(args))
-            if progress:
-                progress(i + 1, len(args_list))
-        return out
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         out = []
-        for i, res in enumerate(pool.map(_batch_worker, args_list)):
+        for res in (pool.map if pool else map)(_batch_worker, scenarios):
             out.append(res)
             if progress:
-                progress(i + 1, len(args_list))
+                progress(len(out), len(scenarios))
     return out
 
 

@@ -67,13 +67,11 @@ class Bottleneck:
         capacity_bps: int,
         prop_delay_us: int,
         buffer_pkts: int,
-        on_drop=None,
     ):
         self.engine = engine
         self.capacity_bps = capacity_bps
         self.prop_delay_us = prop_delay_us
         self.buffer_pkts = buffer_pkts
-        self.on_drop = on_drop
 
         self.queue: deque[Packet] = deque()
         self.in_service: Packet | None = None
@@ -81,10 +79,8 @@ class Bottleneck:
         self.offered = 0
         self.dropped = 0
         self.delivered = 0
-        self.bytes_delivered = 0
-        # per-flow cumulative deliveries, keyed by flow_id
-        self.delivered_by_flow: dict[int, int] = {}
-        self.bytes_by_flow: dict[int, int] = {}
+        self.bytes_by_flow: dict[int, int] = {}  # cumulative delivered bytes
+        self.drops: list[tuple[int, int, int]] = []  # (t_us, flow_id, seq)
 
         engine.register(EventKind.LINK_SERVICE_DONE, self._service_done)
 
@@ -99,8 +95,7 @@ class Bottleneck:
             self.queue.append(pkt)
             return True
         self.dropped += 1
-        if self.on_drop is not None:
-            self.on_drop(self.engine.now, pkt)
+        self.drops.append((self.engine.now, pkt.flow_id, pkt.seq))
         return False
 
     def _start_next(self) -> None:
@@ -115,9 +110,7 @@ class Bottleneck:
         pkt = self.in_service
         self.in_service = None
         self.delivered += 1
-        self.bytes_delivered += pkt.size_bytes
         fid = pkt.flow_id
-        self.delivered_by_flow[fid] = self.delivered_by_flow.get(fid, 0) + 1
         self.bytes_by_flow[fid] = self.bytes_by_flow.get(fid, 0) + pkt.size_bytes
         self.engine.schedule_in(self.prop_delay_us, EventKind.PACKET_ARRIVAL, pkt)
         if self.queue:

@@ -1,0 +1,366 @@
+"""Scenario description: what a run is, before anything runs.
+
+The `Scenario` model with its bounds, the seeded resolution of random start
+times, the packaged presets and the scenario file format. Running a scenario
+and recording it live in harness.py.
+
+A scenario is deterministic given its seed: the only randomness is the second
+flow's start time (a uniform start offset and/or a small start jitter), drawn
+from a named, splittable generator (PCG64 seeded by [base_seed, cell_index,
+run_index]).
+"""
+
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
+
+import numpy as np
+
+from .network import service_time_us
+from .transport import FlowSpec
+
+UNIFORM_START_MAX_S = 10.0  # delta_t_mode "uniform" draws the second start from U(0, this)
+
+
+class UsageError(Exception):
+    """Caller misuse: bad invocation, malformed input, impossible request."""
+
+
+class ParseError(UsageError):
+    """Scenario file rejected; message carries file/line context."""
+
+
+class ValidationError(UsageError):
+    """Scenario contents out of range."""
+
+
+# ---------------------------------------------------------------------------
+# scenario model
+
+
+def _check_finite(obj, where: str) -> None:
+    # nan passes every range comparison below, and inf breaks the integer clock
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{where}{f.name} must be a finite number")
+
+
+@dataclass
+class Scenario:
+    # keyword-only, so that its default can stand before the required fields
+    name: str = field(default="scenario", kw_only=True)
+    capacity_bps: int
+    buffer_pkts: int
+    flows: list[FlowSpec]
+    rtt_base_us: int = 50_000
+    packet_bytes: int = 1500
+    duration_s: float = 300.0
+    seed: int = 0
+    delta_t_mode: str = "fixed"  # "fixed" | "uniform" (second start ~ U(0,10) s)
+    start_jitter_s: float = 0.0  # extra U(0, jitter) on the second flow's start
+
+    def validate(self) -> None:
+        # the name is an output file stem and a scenario-file value
+        if not self.name or self.name != self.name.strip():
+            raise ValidationError("name must be non-empty, without leading or trailing blanks")
+        if not self.name.isprintable() or any(c in self.name for c in "/\\#"):
+            raise ValidationError(
+                f"name {self.name!r} must be printable, without '/', '\\' or '#'")
+        _check_finite(self, "")
+        for i, f in enumerate(self.flows):
+            _check_finite(f, f"flow {i}: ")
+        if self.capacity_bps <= 0:
+            raise ValidationError("capacity_bps must be positive")
+        if self.buffer_pkts < 1:
+            raise ValidationError("buffer_pkts must be at least 1")
+        if self.packet_bytes <= 0:
+            raise ValidationError("packet_bytes must be positive")
+        if self.duration_s <= 0:
+            raise ValidationError("duration_s must be positive")
+        if not self.flows:
+            raise ValidationError("scenario needs at least one flow")
+        if self.delta_t_mode not in ("fixed", "uniform"):
+            raise ValidationError(f"unknown delta_t_mode {self.delta_t_mode!r}")
+        if self.start_jitter_s < 0:
+            raise ValidationError("start_jitter_s must be non-negative")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError("seed must fit in 64 bits")
+        svc = service_time_us(self.packet_bytes, self.capacity_bps)
+        if self.rtt_base_us // 2 < svc:
+            raise ValidationError(
+                "rtt_base_us too small: one-way path cannot absorb the service time"
+            )
+        for i, f in enumerate(self.flows):
+            if f.kind not in ("ledbat", "tcp"):
+                raise ValidationError(f"flow {i}: unknown kind {f.kind!r}")
+            if not 0 <= f.start_s < self.duration_s:
+                raise ValidationError(f"flow {i}: start_s outside [0, duration)")
+            if f.target_us < 1:
+                raise ValidationError(f"flow {i}: target_ms must be at least 0.001 (1 us)")
+            if not 2 <= f.base_histo_min <= 10:
+                raise ValidationError(f"flow {i}: base_histo_min must be within [2, 10]")
+            if f.gain is not None and (f.gain[0] <= 0 or f.gain[1] <= 0):
+                raise ValidationError(f"flow {i}: gain must be a positive rational")
+        if len(self.flows) > 1:
+            # the latest start resolve_starts can draw for the second flow
+            if self.delta_t_mode == "uniform":
+                latest_s = UNIFORM_START_MAX_S
+            else:
+                latest_s = self.flows[1].start_s + self.start_jitter_s
+            if latest_s >= self.duration_s:
+                raise ValidationError(
+                    f"second flow may start at {latest_s:g} s, not before duration_s"
+                )
+
+    @property
+    def duration_us(self) -> int:
+        return int(round(self.duration_s * 1_000_000))
+
+
+def rng_for_run(base_seed: int, cell_index: int, run_index: int) -> np.random.Generator:
+    """The run-level generator: PCG64 split by (base seed, cell, run index)."""
+    seq = np.random.SeedSequence([int(base_seed), int(cell_index), int(run_index)])
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def resolve_starts(scenario: Scenario, rng: np.random.Generator) -> Scenario:
+    """Replace random start-time modes with concrete start times."""
+    flows = [replace(f) for f in scenario.flows]
+    if len(flows) > 1:
+        if scenario.delta_t_mode == "uniform":
+            flows[1].start_s = float(rng.uniform(0.0, UNIFORM_START_MAX_S))
+        elif scenario.start_jitter_s > 0:
+            flows[1].start_s += float(rng.uniform(0.0, scenario.start_jitter_s))
+    return replace(scenario, flows=flows, delta_t_mode="fixed", start_jitter_s=0.0)
+
+
+# ---------------------------------------------------------------------------
+# presets
+
+
+def _two_flow(name, cap_mbps, buffer_pkts, kind0, kind1, dt_s=0.0, slow_start=False,
+              jitter_s=0.0, dt_mode="fixed"):
+    return Scenario(
+        name=name,
+        capacity_bps=int(round(cap_mbps * 1_000_000)),
+        buffer_pkts=buffer_pkts,
+        flows=[
+            FlowSpec(kind=kind0, start_s=0.0, slow_start=slow_start),
+            FlowSpec(kind=kind1, start_s=dt_s, slow_start=slow_start),
+        ],
+        delta_t_mode=dt_mode,
+        start_jitter_s=jitter_s,
+    )
+
+
+def table1_cells() -> list[Scenario]:
+    """The summary grid in canonical order; list position seeds each cell."""
+    cells = []
+    for mix, kinds in (("tl", ("tcp", "ledbat")), ("ll", ("ledbat", "ledbat"))):
+        for cap_mbps, buf in ((2, 10), (10, 50)):
+            for dt_label in ("2", "10", "u"):
+                for ss in (False, True):
+                    name = f"table1-{mix}-c{cap_mbps}-b{buf}-dt{dt_label}-{'ss' if ss else 'noss'}"
+                    if dt_label == "u":
+                        scn = _two_flow(name, cap_mbps, buf, *kinds, dt_s=0.0,
+                                        slow_start=ss, dt_mode="uniform")
+                    else:
+                        scn = _two_flow(name, cap_mbps, buf, *kinds, dt_s=float(dt_label),
+                                        slow_start=ss, jitter_s=0.1)
+                    cells.append(scn)
+    return cells
+
+
+def _build_presets() -> dict[str, Scenario]:
+    p: dict[str, Scenario] = {}
+
+    def add(scn: Scenario, *aliases: str):
+        p[scn.name] = scn
+        for a in aliases:
+            p[a] = scn
+
+    add(_two_flow("hs-b40-tcp-vs-ledbat", 10, 40, "tcp", "ledbat"), "fig2a")
+    add(_two_flow("hs-b40-ledbat-vs-ledbat", 10, 40, "ledbat", "ledbat"), "fig2b")
+    add(_two_flow("hs-b40-ledbat-pair-dt2", 10, 40, "ledbat", "ledbat", dt_s=2.0), "fig3-top")
+    add(_two_flow("hs-b40-ledbat-pair-dt10", 10, 40, "ledbat", "ledbat", dt_s=10.0), "fig3-mid")
+    add(_two_flow("hs-b100-ledbat-pair-dt10", 10, 100, "ledbat", "ledbat", dt_s=10.0), "fig3-bottom")
+    add(Scenario(
+        name="tcp-alone-hs-b40",
+        capacity_bps=10_000_000,
+        buffer_pkts=40,
+        flows=[FlowSpec(kind="tcp", start_s=0.0)],
+    ))
+    add(_two_flow("adsl-b10-tcp-vs-ledbat", 2, 10, "tcp", "ledbat"))
+    add(_two_flow("adsl-up-b10-tcp-vs-ledbat", 0.5, 10, "tcp", "ledbat"))
+    for scn in table1_cells():
+        add(scn)
+    return p
+
+
+_PRESETS = _build_presets()  # name or alias -> scenario; never handed out uncopied
+
+
+def get_preset(name: str) -> Scenario:
+    if name not in _PRESETS:
+        raise UsageError(f"unknown preset {name!r}; known: {', '.join(sorted(_PRESETS))}")
+    scn = _PRESETS[name]
+    return replace(scn, flows=[replace(f) for f in scn.flows])
+
+
+def preset_names() -> list[str]:
+    return sorted(_PRESETS)
+
+
+def load_scenario(name_or_path: str) -> Scenario:
+    """Resolve a preset name, or parse a scenario file."""
+    if name_or_path in _PRESETS:
+        return get_preset(name_or_path)
+    try:
+        with open(name_or_path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"no preset or readable scenario file {name_or_path!r}: {exc}") from exc
+    return parse_scenario_text(text, origin=name_or_path)
+
+
+# ---------------------------------------------------------------------------
+# scenario files
+
+_HEADER = "ledbatsim-scenario v1"
+
+_BOOL = {"on": True, "off": False, "true": True, "false": False}
+
+
+def _read_float(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
+def _read_bool(value: str) -> bool:
+    if value.lower() not in _BOOL:
+        raise ValueError(f"expected on/off, got {value!r}")
+    return _BOOL[value.lower()]
+
+
+def _read_gain(value: str) -> tuple[int, int]:
+    parts = value.split("/")
+    if len(parts) != 2:
+        raise ValueError(f"expected num/den, got {value!r}")
+    return int(parts[0]), int(parts[1])
+
+
+def _scaled(scale: int):
+    """Read and write a file number whose unit is `scale` of the model's
+    integer unit (Mbps for bps, ms for us)."""
+    return lambda v: int(round(_read_float(v) * scale)), lambda n: repr(n / scale)
+
+
+# conversions in and out; repr writes the shortest text that reads back the
+# same float
+_STR = (str, str)
+_INT = (int, str)
+_FLOAT = (_read_float, repr)
+_ONOFF = (_read_bool, lambda b: "on" if b else "off")
+
+# (file key, attribute, read, write). An absent key takes the dataclass
+# default, and format_scenario leaves out every value equal to it.
+_SCENARIO_KEYS = [
+    ("name", "name", *_STR),
+    ("capacity_mbps", "capacity_bps", *_scaled(1_000_000)),
+    ("buffer_pkts", "buffer_pkts", *_INT),
+    ("rtt_base_ms", "rtt_base_us", *_scaled(1000)),
+    ("packet_bytes", "packet_bytes", *_INT),
+    ("duration_s", "duration_s", *_FLOAT),
+    ("seed", "seed", *_INT),
+    ("delta_t_mode", "delta_t_mode", *_STR),
+    ("start_jitter_s", "start_jitter_s", *_FLOAT),
+]
+_FLOW_KEYS = [
+    ("kind", "kind", *_STR),
+    ("start_s", "start_s", *_FLOAT),
+    ("slow_start", "slow_start", *_ONOFF),
+    ("pacing", "pacing", *_ONOFF),
+    ("target_ms", "target_ms", *_FLOAT),
+    ("gain", "gain", _read_gain, lambda g: f"{g[0]}/{g[1]}"),
+    ("base_histo_min", "base_histo_min", *_INT),
+    ("clock_offset_us", "clock_offset_us", *_INT),
+    ("pin_zero_queuing_delay", "pin_zero_queuing_delay", *_ONOFF),
+]
+
+
+def _read_block(cls, keys, block: dict[str, tuple[str, str]], where: str) -> dict:
+    """Constructor arguments for `cls` from one section's key -> (value, line)."""
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    kwargs = {}
+    for key, attr, read, _ in keys:
+        if key in block:
+            value, at = block.pop(key)
+            try:
+                kwargs[attr] = read(value)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"{at}: bad value for {key!r}: {exc}") from exc
+        elif attr in required:
+            raise ParseError(f"{where}: missing required key {key!r}")
+    if block:
+        key = sorted(block)[0]
+        raise ParseError(f"{block[key][1]}: unknown key {key!r}")
+    return kwargs
+
+
+def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != _HEADER:
+        raise ParseError(f"{origin}:1: first line must be {_HEADER!r}")
+
+    top: dict[str, tuple[str, str]] = {}
+    flow_blocks: list[dict[str, tuple[str, str]]] = []
+    current = top
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line == "[flow]":
+            current = {}
+            flow_blocks.append(current)
+            continue
+        where = f"{origin}:{ln}"
+        if "=" not in line:
+            raise ParseError(f"{where}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in current:
+            raise ParseError(f"{where}: duplicate key {key!r}")
+        current[key] = (value.strip(), where)
+
+    top_kwargs = _read_block(Scenario, _SCENARIO_KEYS, top, origin)
+    if not flow_blocks:
+        raise ParseError(f"{origin}: no [flow] sections")
+    flows = [
+        FlowSpec(**_read_block(FlowSpec, _FLOW_KEYS, block, f"{origin} [flow] #{i}"))
+        for i, block in enumerate(flow_blocks)
+    ]
+    return Scenario(flows=flows, **top_kwargs)
+
+
+def format_scenario(s: Scenario) -> str:
+    """Inverse of parse_scenario_text, for diff-friendly scenario files:
+    parse_scenario_text(format_scenario(s)) == s. A text value survives only
+    without a '#', a line break, or leading or trailing blanks, which
+    Scenario.validate rejects in a name."""
+    out = [_HEADER]
+
+    def write_block(obj, keys):
+        defaults = {f.name: f.default for f in fields(obj)}
+        for key, attr, _, write in keys:
+            value = getattr(obj, attr)
+            if value != defaults[attr]:
+                out.append(f"{key} = {write(value)}")
+
+    write_block(s, _SCENARIO_KEYS)
+    for f in s.flows:
+        out.append("[flow]")
+        write_block(f, _FLOW_KEYS)
+    return "\n".join(out) + "\n"

@@ -7,8 +7,6 @@ retransmission, and send gating live in SenderBase and are shared with the
 delay-based flow so the two compete on identical machinery.
 """
 
-import math
-
 from .engine import Engine
 from .network import Bottleneck, Packet
 from .transport import MIN_CWND_PKTS, FlowSpec, SenderBase
@@ -22,7 +20,6 @@ class TcpFlow(SenderBase):
     ):
         super().__init__(engine, flow_id, link, packet_bytes)
         self.ss_active = spec.slow_start
-        self.ssthresh = math.inf
 
     def on_new_ack(self, ack: Packet, newly_acked: int, now: int) -> None:
         if self.ss_active:
@@ -31,7 +28,5 @@ class TcpFlow(SenderBase):
             self.cwnd += 1.0 / self.cwnd
 
     def on_loss(self, now: int) -> None:
-        ssthresh = self.cwnd / 2.0
         if self._halve(now, max(self.cwnd / 2.0, MIN_CWND_PKTS)):
-            self.ssthresh = ssthresh
             self.ss_active = False

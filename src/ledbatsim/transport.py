@@ -114,7 +114,6 @@ class SenderBase:
         self._recovery_point = 0
         self._last_progress_at = 0
 
-        self.acks_received = 0
         self.retransmits = 0
         self.halvings: list[tuple[int, float, int]] = []  # (t, cwnd_after, rtt_gate)
         self.timeouts: list[int] = []
@@ -173,7 +172,6 @@ class SenderBase:
     # -- receiving ---------------------------------------------------------
 
     def on_ack(self, ack: Packet, now: int) -> None:
-        self.acks_received += 1
         acked = ack.ack_of_seq
         if acked > self.highest_acked:
             newly = acked - self.highest_acked

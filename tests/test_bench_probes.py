@@ -1,8 +1,12 @@
-"""The benchmark's probes find every name they wrap.
+"""The benchmark's probes find every name they wrap or replace.
 
 bench/layers.py wraps functions and methods under src/ by name. A rename
 there would make every benchmark pass fail, so the probes are installed here
 in a fresh interpreter and must report no missing target.
+
+bench/one_pass.py shortens the smoke runs by replacing `cli.load_scenario`
+and `harness.table1_cells`. Those only take effect while the program looks
+the names up there, so the cut is checked on what actually runs.
 """
 
 import os
@@ -19,10 +23,52 @@ missing = layers.Spans().install()
 assert missing == [], missing
 """
 
+CUT_REACHES_THE_RUNS = """
+import tempfile
+import one_pass
+from ledbatsim import cli, harness
 
-def test_bench_probes_find_every_target():
+assert callable(harness.table1_cells) and callable(cli.load_scenario)
+one_pass.cut_durations(cli, harness, 15.0)
+
+ran = []
+
+def recording(fn):
+    def wrapper(scenario, *args, **kwargs):
+        ran.append(scenario)
+        return fn(scenario, *args, **kwargs)
+    return wrapper
+
+cli.run_scenario = recording(cli.run_scenario)
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["run", "--preset", "tcp-alone-hs-b40", "--out", out]) == 0
+assert [s.duration_s for s in ran] == [15.0], ran
+
+batches = []
+run_batch = harness._run_batch
+
+def recording_batch(scenarios, *args, **kwargs):
+    batches.append(scenarios)
+    return run_batch(scenarios, *args, **kwargs)
+
+harness._run_batch = recording_batch
+harness.run_table1(1, 0, cells=["tl-c2-b10-dt2-noss"])
+assert [s.duration_s for s in batches[0]] == [15.0], batches
+"""
+
+
+def _run_in_bench_env(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
-    proc = subprocess.run([sys.executable, "-c", INSTALL_BOTH], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_bench_probes_find_every_target():
+    proc = _run_in_bench_env(INSTALL_BOTH)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_smoke_cut_reaches_every_run():
+    proc = _run_in_bench_env(CUT_REACHES_THE_RUNS)
     assert proc.returncode == 0, proc.stderr

@@ -98,6 +98,8 @@ NAN_JITTER = TINY_SCENARIO.replace("duration_s = 15\n", "duration_s = 15\nstart_
 # the run, so only a bound on the latest possible draw rejects them
 LATE_UNIFORM_START = TINY_SCENARIO.replace(
     "duration_s = 15\n", "duration_s = 5\ndelta_t_mode = uniform\n")
+# the name is the output file stem: this one used to write beside --out
+ESCAPED_NAME = TINY_SCENARIO.replace("name = cli-probe", "name = ../escaped")
 
 
 @pytest.mark.parametrize("text,seed", [
@@ -107,14 +109,16 @@ LATE_UNIFORM_START = TINY_SCENARIO.replace(
     (NAN_TARGET, "0"),
     (INF_DURATION, "0"),
     (NAN_JITTER, "0"),
+    (ESCAPED_NAME, "0"),
 ], ids=["sub-us-target", "uniform-seed2", "uniform-seed3", "nan-target", "inf-duration",
-        "nan-jitter"])
+        "nan-jitter", "escaped-name"])
 def test_run_rejects_scenario_the_run_cannot_use(tmp_path, capsys, text, seed):
     p = tmp_path / "bad.scn"
     p.write_text(text, encoding="utf-8")
     rc = cli.main(["run", "--scenario", str(p), "--seed", seed, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [p]  # nothing written, inside --out or beside it
 
 
 def test_table1_has_no_sample_period(tmp_path, capsys):

@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from ledbatsim.harness import get_preset, run_scenario, write_summary_csv, write_trace_csv
+from ledbatsim.harness import run_scenario, write_summary_csv, write_trace_csv
+from ledbatsim.scenario import get_preset
 
 CUT_S = 30.0
 GRID_SEED = 5

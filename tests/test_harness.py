@@ -1,29 +1,19 @@
-"""Scenario model, presets, scenario files, run orchestration, starvation windows."""
+"""Run orchestration, batch runs, starvation windows."""
 
-import math
+import gc
 
-import numpy as np
 import pytest
 
 from ledbatsim.harness import (
-    FlowSpec,
-    ParseError,
-    Scenario,
     TraceSet,
-    UsageError,
-    ValidationError,
+    _batch_worker,
+    _Simulation,
     detect_starvation,
-    format_scenario,
-    get_preset,
-    parse_scenario_text,
-    preset_names,
-    resolve_cell_run,
-    resolve_starts,
-    rng_for_run,
     run_scenario,
     run_table1,
-    table1_cells,
 )
+from ledbatsim.scenario import Scenario, UsageError, ValidationError
+from ledbatsim.transport import FlowSpec
 
 S = 1_000_000
 
@@ -40,202 +30,6 @@ def _tiny(duration_s=20.0, **kw):
     return Scenario(**base)
 
 
-# -- validation ----------------------------------------------------------------
-
-
-def test_validate_passes_sane_scenario():
-    _tiny().validate()
-
-
-@pytest.mark.parametrize("patch,fragment", [
-    (dict(capacity_bps=0), "capacity"),
-    (dict(buffer_pkts=0), "buffer"),
-    (dict(flows=[]), "at least one flow"),
-    (dict(duration_s=0.0), "duration"),
-    (dict(delta_t_mode="gaussian"), "delta_t_mode"),
-    (dict(start_jitter_s=-1.0), "jitter"),
-    (dict(seed=-1), "seed"),
-    # the latest second-flow start the seed can draw must fall before the end
-    (dict(delta_t_mode="uniform", duration_s=10.0), "second flow may start at 10 s"),
-    (dict(flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=19.95)], start_jitter_s=0.1),
-     "second flow may start at 20.05 s"),
-])
-def test_validate_rejects_bad_top_level(patch, fragment):
-    with pytest.raises(ValidationError, match=fragment):
-        _tiny(**patch).validate()
-
-
-@pytest.mark.parametrize("flow,fragment", [
-    (FlowSpec("quic"), "unknown kind"),
-    (FlowSpec("tcp", start_s=25.0), "start_s"),  # beyond 20 s duration
-    (FlowSpec("ledbat", target_ms=0.0), "target_ms"),
-    (FlowSpec("ledbat", target_ms=0.0004), "target_ms"),  # rounds to 0 us
-    (FlowSpec("ledbat", base_histo_min=1), "base_histo_min"),
-    (FlowSpec("ledbat", gain=(0, 5)), "gain"),
-    (FlowSpec("ledbat", target_ms=-5.0), "target_ms"),
-    (FlowSpec("ledbat", base_histo_min=11), "base_histo_min"),
-])
-def test_validate_rejects_bad_flow(flow, fragment):
-    with pytest.raises(ValidationError, match=fragment):
-        _tiny(flows=[flow]).validate()
-
-
-def test_validate_rejects_rtt_below_service_time():
-    # 1500 B at 10 Mbps needs 1200 us; a 2 ms RTT leaves only 1000 us one-way
-    with pytest.raises(ValidationError, match="rtt_base_us"):
-        _tiny(rtt_base_us=2000).validate()
-
-
-# -- presets -------------------------------------------------------------------
-
-
-def test_preset_inventory():
-    names = preset_names()
-    assert len(names) == 37
-    for required in ("fig2a", "fig2b", "fig3-top", "fig3-mid", "fig3-bottom",
-                     "tcp-alone-hs-b40", "adsl-b10-tcp-vs-ledbat"):
-        assert required in names
-    assert sum(1 for n in names if n.startswith("table1-")) == 24
-
-
-def test_get_preset_returns_independent_copies():
-    a = get_preset("fig2a")
-    a.flows[0].start_s = 123.0
-    assert get_preset("fig2a").flows[0].start_s != 123.0
-
-
-def test_get_preset_unknown_name():
-    with pytest.raises(UsageError, match="unknown preset"):
-        get_preset("fig99")
-
-
-def test_presets_validate():
-    for name in preset_names():
-        get_preset(name).validate()
-
-
-def test_table_grid_order_is_frozen():
-    cells = table1_cells()
-    assert len(cells) == 24
-    assert cells[0].name == "table1-tl-c2-b10-dt2-noss"
-    assert cells[20].name == "table1-ll-c10-b50-dt10-noss"
-    assert cells[23].name == "table1-ll-c10-b50-dtu-ss"
-    for scn in cells:
-        scn.validate()
-        assert len(scn.flows) == 2
-
-
-# -- start resolution ----------------------------------------------------------
-
-
-def test_rng_split_is_stable_and_disjoint():
-    a = rng_for_run(7, 3, 0).uniform(0, 10)
-    b = rng_for_run(7, 3, 0).uniform(0, 10)
-    c = rng_for_run(7, 3, 1).uniform(0, 10)
-    assert a == b
-    assert a != c
-
-
-def test_uniform_mode_draws_second_start():
-    scn = _tiny(duration_s=60.0, delta_t_mode="uniform")
-    draws = [resolve_starts(scn, rng_for_run(0, 0, i)).flows[1].start_s
-             for i in range(10_000)]
-    assert all(0.0 <= d < 10.0 for d in draws)
-    assert abs(float(np.mean(draws)) - 5.0) < 0.15
-    resolved = resolve_starts(scn, rng_for_run(0, 0, 0))
-    assert resolved.delta_t_mode == "fixed"  # a resolved scenario re-runs as-is
-    assert resolved.flows[0].start_s == 0.0
-
-
-def test_fixed_mode_jitters_around_the_offset():
-    scn = _tiny(duration_s=60.0,
-                flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=10.0)],
-                start_jitter_s=0.1)
-    starts = [resolve_starts(scn, rng_for_run(0, 0, i)).flows[1].start_s
-              for i in range(200)]
-    assert all(10.0 <= s < 10.1 for s in starts)
-    assert len(set(starts)) > 100  # actually random
-
-
-def test_resolve_cell_run_is_deterministic():
-    scn = table1_cells()[4]  # a dt=U(0,10) cell
-    a = resolve_cell_run(scn, 7, 4, 2)
-    b = resolve_cell_run(scn, 7, 4, 2)
-    assert a.flows[1].start_s == b.flows[1].start_s
-
-
-# -- scenario files --------------------------------------------------------------
-
-
-def test_scenario_text_round_trip():
-    scn = _tiny(flows=[
-        FlowSpec("tcp", slow_start=True),
-        FlowSpec("ledbat", start_s=3.0, gain=(1, 50_000), base_histo_min=4,
-                 clock_offset_us=250, pacing=False, pin_zero_queuing_delay=True),
-    ], seed=7, delta_t_mode="uniform", start_jitter_s=0.25, packet_bytes=1000)
-    assert parse_scenario_text(format_scenario(scn), origin="round.scn") == scn
-
-
-# :g kept 6 significant digits, so every one of these read back changed
-SEVEN_DIGITS = _tiny(
-    capacity_bps=1_234_567,
-    rtt_base_us=1_234_567,
-    flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=12.345678, target_ms=1234.5678)],
-)
-
-
-@pytest.mark.parametrize("scn", [get_preset(n) for n in preset_names()] + [SEVEN_DIGITS],
-                         ids=preset_names() + ["seven-digits"])
-def test_scenario_file_round_trips_exactly(scn):
-    assert parse_scenario_text(format_scenario(scn)) == scn
-
-
-@pytest.mark.parametrize("text,fragment", [
-    ("not-a-scenario\n", "first line"),
-    ("ledbatsim-scenario v1\ncapacity_mbps 10\n", ":2: expected key = value"),
-    ("ledbatsim-scenario v1\nseed = 1\nseed = 2\n", ":3: duplicate key"),
-    ("ledbatsim-scenario v1\nbuffer_pkts = 40\n[flow]\nkind = tcp\n",
-     "missing required key 'capacity_mbps'"),
-    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\n", "no \\[flow\\]"),
-    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\nwarp = 9\n"
-     "[flow]\nkind = tcp\n", "unknown key 'warp'"),
-    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\n"
-     "[flow]\nkind = tcp\nslow_start = maybe\n", "expected on/off"),
-    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\n"
-     "[flow]\nkind = tcp\ngain = 1:2\n", "num/den"),
-    ("ledbatsim-scenario v1\ncapacity_mbps = ten\nbuffer_pkts = 40\n"
-     "[flow]\nkind = tcp\n", "bad value for 'capacity_mbps'"),
-    # numbers must be finite: nan slipped past validation, inf crashed the run
-    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\nduration_s = inf\n"
-     "[flow]\nkind = tcp\n", ":4: bad value for 'duration_s'"),
-    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\nstart_jitter_s = nan\n"
-     "[flow]\nkind = tcp\n", ":4: bad value for 'start_jitter_s'"),
-    ("ledbatsim-scenario v1\ncapacity_mbps = 10\nbuffer_pkts = 40\n"
-     "[flow]\nkind = ledbat\ntarget_ms = nan\n", ":6: bad value for 'target_ms'"),
-    ("ledbatsim-scenario v1\ncapacity_mbps = 1e305\nbuffer_pkts = 40\n"
-     "[flow]\nkind = tcp\n", "bad value for 'capacity_mbps'"),
-])
-def test_parse_errors_carry_origin_and_line(text, fragment):
-    with pytest.raises(ParseError, match=fragment) as exc:
-        parse_scenario_text(text, origin="bad.scn")
-    assert "bad.scn" in str(exc.value)
-
-
-def test_comments_and_blank_lines_are_ignored():
-    text = (
-        "ledbatsim-scenario v1\n"
-        "\n"
-        "# capacity of the shared link\n"
-        "capacity_mbps = 2  # ADSL-ish\n"
-        "buffer_pkts = 10\n"
-        "[flow]\n"
-        "kind = ledbat\n"
-    )
-    scn = parse_scenario_text(text)
-    assert scn.capacity_bps == 2_000_000
-    assert scn.flows[0].kind == "ledbat"
-
-
 # -- running -------------------------------------------------------------------
 
 
@@ -245,7 +39,7 @@ def test_run_scenario_trace_shape_and_conservation():
     n = len(tr.sample_t_us)
     assert n == 101  # 0..10 s inclusive at 100 ms cadence
     assert tr.sample_t_us[0] == 0 and tr.sample_t_us[-1] == 10 * S
-    for series in (tr.queue_pkts, tr.link_delivered_bytes, tr.link_offered, tr.link_dropped):
+    for series in (tr.queue_pkts, tr.link_offered, tr.link_dropped):
         assert len(series) == n
     for fid in tr.flow_ids:
         assert len(tr.cwnd_pkts[fid]) == n
@@ -293,6 +87,18 @@ def test_run_table_cell_filter_and_determinism():
     again, _ = run_table1(2, base_seed=3, cells=["tl-c2-b10-dt2-noss"])
     assert again[0].eta == cell.eta
     assert again[0].fairness == cell.fairness
+
+
+def test_batch_worker_frees_its_run():
+    # the engine and the simulation reference each other, so only the cycle
+    # collector frees a finished run
+    gc.collect()
+    gc.disable()
+    try:
+        _batch_worker(_tiny(duration_s=2.0))
+        assert not any(isinstance(o, _Simulation) for o in gc.get_objects())
+    finally:
+        gc.enable()
 
 
 def test_run_table_rejects_empty_selection_and_bad_runs():

@@ -24,7 +24,6 @@ def _trace():
     tr = TraceSet([0, 1], 10_000_000, S)
     tr.sample_t_us = [0, S]
     tr.queue_pkts = [0, 0]
-    tr.link_delivered_bytes = [0, 1_250_000]
     tr.link_offered = [0, 100]
     tr.link_dropped = [0, 5]
     tr.cwnd_pkts = {0: [1.0, 2.0], 1: [1.0, 2.0]}

@@ -38,14 +38,12 @@ def test_in_service_packet_frees_a_buffer_slot():
     assert link.conservation_ok()
 
 
-def test_drop_callback_gets_time_and_packet():
+def test_drops_record_time_flow_and_seq():
     eng = Engine()
-    drops = []
-    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=1,
-                      on_drop=lambda t, p: drops.append((t, p.seq)))
+    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=1)
     for seq in (1, 2, 3):
-        link.enqueue(_pkt(seq))
-    assert drops == [(0, 3)]
+        link.enqueue(_pkt(seq, flow=2))
+    assert link.drops == [(0, 2, 3)]
 
 
 def test_fifo_delivery_times_and_order():
@@ -60,8 +58,7 @@ def test_fifo_delivery_times_and_order():
     assert link.queue_pkts() == 0
     # back-to-back service at 1200 us each, then the 10 ms pipe
     assert arrivals == [(11_200, 1), (12_400, 2), (13_600, 3)]
-    assert link.delivered == 3 and link.bytes_delivered == 4500
-    assert link.delivered_by_flow == {0: 3}
+    assert link.delivered == 3 and link.bytes_by_flow == {0: 4500}
 
 
 def test_conservation_under_random_churn():
@@ -70,15 +67,19 @@ def test_conservation_under_random_churn():
     eng.register(EventKind.PACKET_ARRIVAL, lambda _pkt: None)
     link = Bottleneck(eng, 2_000_000, 5_000, buffer_pkts=4)
     seq = 0
+    accepted_bytes = 0
     for step in range(400):
         for _ in range(int(rng.integers(0, 4))):
             seq += 1
-            link.enqueue(_pkt(seq, size=int(rng.integers(100, 1501))))
+            size = int(rng.integers(100, 1501))
+            if link.enqueue(_pkt(seq, size=size, flow=seq % 3)):
+                accepted_bytes += size
         eng.run(until=eng.now + int(rng.integers(0, 8000)))
         assert link.conservation_ok()
     eng.run(until=eng.now + 10_000_000)
     assert link.offered == link.delivered + link.dropped
-    assert link.delivered == sum(link.delivered_by_flow.values())
+    assert link.dropped == len(link.drops)
+    assert sum(link.bytes_by_flow.values()) == accepted_bytes
 
 
 def test_ack_path_is_a_fixed_delay():

@@ -1,7 +1,5 @@
 """Loss-based competitor: additive increase, halving, slow-start exit."""
 
-import math
-
 from ledbatsim.engine import Engine
 from ledbatsim.network import Packet
 from ledbatsim.tcp import TcpFlow
@@ -42,10 +40,8 @@ def test_slow_start_adds_one_per_ack_until_loss():
 
 def test_loss_halves_and_leaves_slow_start_for_good():
     flow = _flow(cwnd=32.0, slow_start=True)
-    assert flow.ssthresh == math.inf
     flow.on_loss(0)
     assert flow.cwnd == 16.0
-    assert flow.ssthresh == 16.0
     assert not flow.ss_active
     flow.on_new_ack(_ack(), 1, 0)
     assert flow.cwnd == 16.0 + 1.0 / 16.0  # linear now
@@ -83,7 +79,8 @@ def test_two_identical_flows_walk_the_same_window_sequence():
     trails by one FIFO phase (its bursts queue behind the first flow's), so
     byte counts at any instant differ by up to a window; the law itself is
     identical."""
-    from ledbatsim.harness import FlowSpec, Scenario, run_scenario
+    from ledbatsim.harness import run_scenario
+    from ledbatsim.scenario import Scenario
 
     scn = Scenario(
         name="twins",
@@ -112,7 +109,8 @@ def test_two_identical_flows_walk_the_same_window_sequence():
 
 def test_single_flow_sawtooth_shape():
     """Between consecutive halvings the window never decreases."""
-    from ledbatsim.harness import FlowSpec, Scenario, run_scenario
+    from ledbatsim.harness import run_scenario
+    from ledbatsim.scenario import Scenario
 
     scn = Scenario(
         name="saw",
