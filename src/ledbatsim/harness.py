@@ -149,9 +149,9 @@ class _Simulation:
         tr = self.trace
         link = self.link
         tr.sample_t_us.append(now)
-        tr.queue_pkts.append(link.queue_pkts())
+        tr.queue_pkts.append(len(link.queue))
         tr.link_offered.append(link.offered)
-        tr.link_dropped.append(link.dropped)
+        tr.link_dropped.append(len(link.drops))
         for s in self.senders:
             fid = s.flow_id
             tr.cwnd_pkts[fid].append(s.cwnd)

@@ -51,10 +51,6 @@ class BaseDelayHistory:
             self._slots[-1] = measured_us
         return min(self._slots)
 
-    @property
-    def base_us(self) -> int | None:
-        return min(self._slots) if self._slots else None
-
 
 class LedbatFlow(SenderBase):
     kind = "ledbat"

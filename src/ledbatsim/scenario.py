@@ -99,8 +99,11 @@ class Scenario:
                 raise ValidationError(f"flow {i}: target_ms must be at least 0.001 (1 us)")
             if not 2 <= f.base_histo_min <= 10:
                 raise ValidationError(f"flow {i}: base_histo_min must be within [2, 10]")
-            if f.gain is not None and (f.gain[0] <= 0 or f.gain[1] <= 0):
-                raise ValidationError(f"flow {i}: gain must be a positive rational")
+            if f.gain is not None and not (
+                isinstance(f.gain, tuple) and len(f.gain) == 2
+                and all(isinstance(g, int) and g > 0 for g in f.gain)
+            ):
+                raise ValidationError(f"flow {i}: gain must be a pair of positive ints")
         if len(self.flows) > 1:
             # the latest start resolve_starts can draw for the second flow
             if self.delta_t_mode == "uniform":

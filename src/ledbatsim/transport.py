@@ -177,17 +177,16 @@ class SenderBase:
             newly = acked - self.highest_acked
             for s in range(self.highest_acked + 1, acked):
                 self._send_times.pop(s, None)
-            sent_at = self._send_times.pop(acked, None)
+            sent_at = self._send_times.pop(acked)
             self.highest_acked = acked
             self.dupacks = 0
             self._last_progress_at = now
-            if sent_at is not None:
-                self._rtt_sample(now - sent_at)
+            self._rtt_sample(now - sent_at)
             self.on_delay_sample(ack, now)
             if self._recovery_point:
                 if self.highest_acked < self._recovery_point:
                     # partial advance: the next hole is inferred lost too
-                    self._retransmit_hole(now)
+                    self._transmit(self.highest_acked + 1, now, retransmission=True)
                 else:
                     self._recovery_point = 0
             self.on_new_ack(ack, newly, now)
@@ -196,14 +195,16 @@ class SenderBase:
             self.dupacks += 1
             self.on_delay_sample(ack, now)
             if not self._recovery_point and self.dupacks >= DUPACK_THRESHOLD:
-                self.dupacks = 0
-                self._recovery_point = self.next_seq - 1
-                self._retransmit_hole(now)
-                self.on_loss(now)
+                self._enter_recovery(now)
                 self.try_send(now)
 
-    def _retransmit_hole(self, now: int) -> None:
+    def _enter_recovery(self, now: int) -> None:
+        """Open a recovery episode up to the send frontier: retransmit the first
+        hole and tell the controller once."""
+        self._recovery_point = self.next_seq - 1
+        self.dupacks = 0
         self._transmit(self.highest_acked + 1, now, retransmission=True)
+        self.on_loss(now)
 
     def _rtt_sample(self, sample_us: int) -> None:
         if self.rtt_est_us is None:
@@ -233,7 +234,4 @@ class SenderBase:
         if now >= deadline:
             self.timeouts.append(now)
             self._last_progress_at = now
-            self._recovery_point = self.next_seq - 1
-            self.dupacks = 0
-            self._retransmit_hole(now)
-            self.on_loss(now)
+            self._enter_recovery(now)

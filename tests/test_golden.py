@@ -1,15 +1,24 @@
-"""Golden digests: the SHA-256 of the trace and summary CSVs of every figure
-preset and of one summary-grid cell per flow mix, each cut to 30 s.
+"""Golden runs: the SHA-256 of the trace and summary CSVs, and the number of
+events dispatched per kind, of every figure preset and of one summary-grid
+cell per flow mix, each cut to 30 s.
 
-A refactor that is meant to keep behaviour must keep these bytes. A change
-that moves them on purpose re-records them and says why.
+A refactor that is meant to keep behaviour must keep these bytes and this
+event schedule. A change that moves them on purpose re-records them and says
+why.
 """
 
+import functools
 import hashlib
+import tempfile
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from ledbatsim import harness
+from ledbatsim.engine import Engine
 from ledbatsim.harness import run_scenario, write_summary_csv, write_trace_csv
 from ledbatsim.scenario import get_preset
 
@@ -53,17 +62,61 @@ GOLDEN = {
 }
 
 
+# preset -> events dispatched per kind
+EVENTS = {
+    "fig2a": dict(FLOW_START=2, LINK_SERVICE_DONE=24173, PACING_TIMER=1731,
+                  PACKET_ARRIVAL=48285, SIM_END=1, STATS_SAMPLE=3001),
+    "fig2b": dict(FLOW_START=2, LINK_SERVICE_DONE=24479, PACING_TIMER=14402,
+                  PACKET_ARRIVAL=48897, SIM_END=1, STATS_SAMPLE=3001),
+    "fig3-top": dict(FLOW_START=2, LINK_SERVICE_DONE=24016, PACING_TIMER=19667,
+                     PACKET_ARRIVAL=47971, SIM_END=1, STATS_SAMPLE=3001),
+    "fig3-mid": dict(FLOW_START=2, LINK_SERVICE_DONE=23935, PACING_TIMER=14568,
+                     PACKET_ARRIVAL=47810, SIM_END=1, STATS_SAMPLE=3001),
+    "fig3-bottom": dict(FLOW_START=2, LINK_SERVICE_DONE=24006, PACING_TIMER=15607,
+                        PACKET_ARRIVAL=47952, SIM_END=1, STATS_SAMPLE=3001),
+    "tcp-alone-hs-b40": dict(FLOW_START=1, LINK_SERVICE_DONE=23728,
+                             PACKET_ARRIVAL=47395, SIM_END=1, STATS_SAMPLE=3001),
+    "table1-tl-c2-b10-dtu-noss": dict(FLOW_START=2, LINK_SERVICE_DONE=4772, PACING_TIMER=67,
+                                      PACKET_ARRIVAL=9542, SIM_END=1, STATS_SAMPLE=3001),
+    "table1-ll-c2-b10-dt2-ss": dict(FLOW_START=2, LINK_SERVICE_DONE=4702, PACING_TIMER=2956,
+                                    PACKET_ARRIVAL=9394, SIM_END=1, STATS_SAMPLE=3001),
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("preset", sorted(GOLDEN))
-def test_output_bytes_match_golden(preset, tmp_path):
+@functools.cache
+def _golden_run(preset):
+    """Run a preset's 30 s cut once: ((trace sha256, summary sha256), events by kind)."""
+    dispatched = Counter()
+
+    class CountingEngine(Engine):
+        def register(self, kind, handler):
+            def counted(payload):
+                dispatched[kind.name] += 1
+                handler(payload)
+            super().register(kind, counted)
+
     scenario = replace(get_preset(preset), duration_s=CUT_S)
     if preset.startswith("table1-"):
         scenario = replace(scenario, seed=GRID_SEED)
-    result = run_scenario(scenario)
-    trace, summary = tmp_path / "trace.csv", tmp_path / "summary.csv"
-    write_trace_csv(result.trace, trace)
-    write_summary_csv(result, summary)
-    assert (_sha256(trace), _sha256(summary)) == GOLDEN[preset]
+    with mock.patch.object(harness, "Engine", CountingEngine):
+        result = run_scenario(scenario)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, summary = Path(tmp, "trace.csv"), Path(tmp, "summary.csv")
+        write_trace_csv(result.trace, trace)
+        write_summary_csv(result, summary)
+        digests = (_sha256(trace), _sha256(summary))
+    return digests, dict(dispatched)
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN))
+def test_output_bytes_match_golden(preset):
+    assert _golden_run(preset)[0] == GOLDEN[preset]
+
+
+@pytest.mark.parametrize("preset", sorted(EVENTS))
+def test_event_counts_match_golden(preset):
+    assert _golden_run(preset)[1] == EVENTS[preset]

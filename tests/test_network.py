@@ -1,6 +1,7 @@
 """Bottleneck queue: service times, drop-tail boundary, FIFO order, conservation."""
 
 import numpy as np
+import pytest
 
 from ledbatsim.engine import Engine, EventKind
 from ledbatsim.network import AckPath, Bottleneck, Packet, service_time_us
@@ -25,17 +26,31 @@ def test_target_delay_worth_of_buffering():
     assert 20 * svc < 25_000 < 21 * svc
 
 
-def test_in_service_packet_frees_a_buffer_slot():
+def test_serving_head_takes_no_buffer_slot():
     eng = Engine()
     link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=2)
     assert link.enqueue(_pkt(1))  # goes straight into service
-    assert link.in_service is not None and len(link.queue) == 0
+    assert [p.seq for p in link.queue] == [1]
     assert link.enqueue(_pkt(2))
     assert link.enqueue(_pkt(3))  # fills both buffer slots
     assert not link.enqueue(_pkt(4))  # tail drop
-    assert (link.offered, link.dropped) == (4, 1)
-    assert link.queue_pkts() == 3
+    assert (link.offered, len(link.drops)) == (4, 1)
+    assert len(link.queue) == 3
     assert link.conservation_ok()
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda q: q.pop(),  # a waiting packet vanishes
+    lambda q: q.append(q[-1]),  # a waiting packet is counted twice
+])
+def test_conservation_check_catches_a_lost_or_doubled_packet(tamper):
+    eng = Engine()
+    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=2)
+    for seq in (1, 2, 3):
+        link.enqueue(_pkt(seq))
+    assert link.conservation_ok()
+    tamper(link.queue)
+    assert not link.conservation_ok()
 
 
 def test_drops_record_time_flow_and_seq():
@@ -53,9 +68,9 @@ def test_fifo_delivery_times_and_order():
     link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=10)
     for seq in (1, 2, 3):
         link.enqueue(_pkt(seq))
-    assert link.queue_pkts() == 3  # two queued plus the one in service
+    assert len(link.queue) == 3  # two waiting behind the one in service
     eng.run(until=1_000_000)
-    assert link.queue_pkts() == 0
+    assert len(link.queue) == 0
     # back-to-back service at 1200 us each, then the 10 ms pipe
     assert arrivals == [(11_200, 1), (12_400, 2), (13_600, 3)]
     assert link.delivered == 3 and link.bytes_by_flow == {0: 4500}
@@ -77,8 +92,7 @@ def test_conservation_under_random_churn():
         eng.run(until=eng.now + int(rng.integers(0, 8000)))
         assert link.conservation_ok()
     eng.run(until=eng.now + 10_000_000)
-    assert link.offered == link.delivered + link.dropped
-    assert link.dropped == len(link.drops)
+    assert link.offered == link.delivered + len(link.drops)
     assert sum(link.bytes_by_flow.values()) == accepted_bytes
 
 

@@ -75,6 +75,9 @@ def test_validate_rejects_bad_top_level(patch, fragment):
     (FlowSpec("ledbat", target_ms=0.0004), "target_ms"),  # rounds to 0 us
     (FlowSpec("ledbat", base_histo_min=1), "base_histo_min"),
     (FlowSpec("ledbat", gain=(0, 5)), "gain"),
+    (FlowSpec("ledbat", gain=(1.5, 2)), "gain must be a pair of positive ints"),
+    (FlowSpec("ledbat", gain=(1,)), "gain must be a pair of positive ints"),
+    (FlowSpec("ledbat", gain="1/25000"), "gain must be a pair of positive ints"),
     (FlowSpec("ledbat", target_ms=-5.0), "target_ms"),
     (FlowSpec("ledbat", base_histo_min=11), "base_histo_min"),
     (FlowSpec("ledbat", target_ms=float("nan")), "flow 0: target_ms must be a finite number"),

@@ -147,6 +147,23 @@ def test_partial_advance_retransmits_next_hole_without_new_loss():
     assert tx.losses == [50_000, 70_000]  # fresh episode detects again
 
 
+def test_partial_advance_after_timeout_retransmits_next_hole_without_new_loss():
+    eng = Engine()
+    link = _FakeLink()
+    tx = _Recorder(eng, link, cwnd=4.0)
+    tx.start(0)  # 1..4 sent; 1 and 2 are lost, 3 and 4 stall
+    tx.check_timeout(1_000_000)  # recovery opens, 1 retransmitted
+    assert tx.timeouts == [1_000_000] and tx.losses == [1_000_000]
+    tx.on_ack(_ack(1), 1_050_000)  # partial: 2 is inferred lost too
+    assert tx.losses == [1_000_000]  # no second on_loss
+    holes = [p.seq for p in link.sent if p.is_retransmission]
+    assert holes == [1, 2]
+    tx.on_ack(_ack(4), 1_100_000)  # reaches the detection frontier: recovery closes
+    for _ in range(3):
+        tx.on_ack(_ack(4), 1_100_000)
+    assert tx.losses == [1_000_000, 1_100_000]  # fresh episode detects again
+
+
 def test_halving_rate_limited_to_one_per_rtt():
     eng = Engine()
     tx = _Recorder(eng, _FakeLink(), cwnd=16.0)
