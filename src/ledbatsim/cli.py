@@ -58,21 +58,22 @@ def _sample_us(args) -> int:
 
 
 def _run_and_write(targets, args) -> int:
-    """Run each preset name or scenario file, and write its trace and summary."""
-    out_dir = _out_dir(args)
+    """Run each preset name or scenario file, and write its trace and summary.
+    Every scenario and output path is checked before the first run."""
     sample_us = _sample_us(args)
-    for target in targets:
-        scenario = load_scenario(target)
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
+    scenarios = [load_scenario(target) for target in targets]
+    if args.seed is not None:
+        scenarios = [replace(s, seed=args.seed) for s in scenarios]
+    for scenario in scenarios:
+        scenario.validate()
+    paths = _prepare_paths(_out_dir(args), [f"{s.name}-{kind}.csv" for s in scenarios
+                                            for kind in ("trace", "summary")], args.force)
+    for scenario, trace_path, summary_path in zip(scenarios, paths[::2], paths[1::2]):
         result = run_scenario(scenario, sample_us=sample_us)
-        name = result.scenario.name
-        trace_path, summary_path = _prepare_paths(
-            out_dir, [f"{name}-trace.csv", f"{name}-summary.csv"], args.force)
         write_trace_csv(result.trace, trace_path)
         write_summary_csv(result, summary_path)
         m = result.metrics
-        print(f"{name}: eta={m.eta_percent:.1f}% F={m.fairness:.3f} "
+        print(f"{scenario.name}: eta={m.eta_percent:.1f}% F={m.fairness:.3f} "
               f"L={m.loss_rate:.2e}")
         print(f"wrote {trace_path}")
         print(f"wrote {summary_path}")

@@ -79,7 +79,6 @@ class TraceSet:
 
 @dataclass
 class FlowStats:
-    kind: str
     retransmits: int
     max_update_ratio: float  # ledbat: largest gain*off_target applied (packets)
     timeouts: list[int]  # safety-timeout firing times (us)
@@ -198,7 +197,6 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US) -> RunR
     metrics = compute_report(sim.trace, resolved.capacity_bps, interval)
     stats = [
         FlowStats(
-            kind=s.kind,
             retransmits=s.retransmits,
             max_update_ratio=getattr(s, "max_update_ratio", 0.0),
             timeouts=list(s.timeouts),
@@ -285,10 +283,7 @@ class RunCheckFacts:
 
 
 def extract_check_facts(result: RunResult) -> RunCheckFacts:
-    max_ratio = max(
-        (fs.max_update_ratio for fs in result.flow_stats if fs.kind == "ledbat"),
-        default=0.0,
-    )
+    max_ratio = max(fs.max_update_ratio for fs in result.flow_stats)
     min_cwnd = min(min(series) for series in result.trace.cwnd_pkts.values())
     gaps_ok = True
     for halvings in result.trace.halvings.values():
@@ -374,37 +369,45 @@ def _run_batch(scenarios: list[Scenario], jobs: int, progress=None):
 # file output
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _write_csv(path, header: str, lines) -> None:
+    """Every CSV output: UTF-8, a header, then each row string as one newline-ended line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def write_trace_csv(trace: TraceSet, path: str) -> None:
-    """Long-form rows: t_us,entity,series,value (entity is a flow id or 'link')."""
-    rows: list[tuple[int, str]] = []
-    for i, t in enumerate(trace.sample_t_us):
-        rows.append((t, f"{t},link,queue_pkts,{trace.queue_pkts[i]}"))
-        for fid in trace.flow_ids:
-            rows.append((t, f"{t},{fid},cwnd_pkts,{_fmt(trace.cwnd_pkts[fid][i])}"))
-            base = trace.base_delay_us[fid][i]
-            if base is not None:
-                rows.append((t, f"{t},{fid},base_delay_us,{base}"))
-            qest = trace.queuing_est_us[fid][i]
-            if qest is not None:
-                rows.append((t, f"{t},{fid},queuing_est_us,{qest}"))
-            rows.append((t, f"{t},{fid},delivery,{trace.delivered_bytes[fid][i]}"))
-    for t, fid, seq in trace.drops:
-        rows.append((t, f"{t},{fid},drop,{seq}"))
-    for fid in trace.flow_ids:
-        # halvings land as exact-time window samples so plots show the edge
-        for t, cwnd_after, _ in trace.halvings[fid]:
-            rows.append((t, f"{t},{fid},cwnd_pkts,{_fmt(cwnd_after)}"))
-    rows.sort(key=lambda r: r[0])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_us,entity,series,value\n")
-        fh.write("\n".join(r[1] for r in rows))
-        fh.write("\n")
+    """Long-form rows: t_us,entity,series,value (entity is a flow id or 'link').
+
+    Rows are in time order; at equal times a tick's sampled rows come first,
+    then drops, then halvings by flow id. Each row is written as it is formed.
+    """
+    # halvings land as exact-time window samples so plots show the edge
+    events = [(t, f"{t},{fid},drop,{seq}") for t, fid, seq in trace.drops] + [
+        (t, f"{t},{fid},cwnd_pkts,{cwnd_after}")
+        for fid in trace.flow_ids for t, cwnd_after, _ in trace.halvings[fid]]
+    events.sort(key=lambda e: e[0])
+
+    def lines():
+        k = 0
+        for i, t in enumerate(trace.sample_t_us):
+            while k < len(events) and events[k][0] < t:
+                yield events[k][1]
+                k += 1
+            yield f"{t},link,queue_pkts,{trace.queue_pkts[i]}"
+            for fid in trace.flow_ids:
+                yield f"{t},{fid},cwnd_pkts,{trace.cwnd_pkts[fid][i]}"
+                base = trace.base_delay_us[fid][i]
+                if base is not None:
+                    yield f"{t},{fid},base_delay_us,{base}"
+                qest = trace.queuing_est_us[fid][i]
+                if qest is not None:
+                    yield f"{t},{fid},queuing_est_us,{qest}"
+                yield f"{t},{fid},delivery,{trace.delivered_bytes[fid][i]}"
+        for _, line in events[k:]:
+            yield line
+
+    _write_csv(path, "t_us,entity,series,value", lines())
 
 
 def write_summary_csv(result: RunResult, path: str) -> None:
@@ -416,21 +419,13 @@ def write_summary_csv(result: RunResult, path: str) -> None:
     for fid, (spec, rate) in enumerate(zip(result.scenario.flows, m.flow_rates_bps)):
         cols += [f"flow{fid}_kind", f"flow{fid}_start_us", f"flow{fid}_rate_bps"]
         vals += [spec.kind, int(round(spec.start_s * 1_000_000)), rate]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.write(",".join(_fmt(v) for v in vals) + "\n")
+    _write_csv(path, ",".join(cols), [",".join(map(str, vals))])
 
 
 def write_table_csv(summaries: list[CellSummary], path: str) -> None:
     header = ("scenario,mix,capacity_mbps,buffer_pkts,delta_t,slow_start,runs,"
               "eta_mean,eta_std,fairness_mean,fairness_std,loss_mean,loss_std")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for c in summaries:
-            fh.write(",".join([
-                c.name, c.mix, _fmt(c.capacity_mbps), str(c.buffer_pkts), f'"{c.delta_t}"',
-                "on" if c.slow_start else "off", str(c.runs),
-                _fmt(c.eta[0]), _fmt(c.eta[1]),
-                _fmt(c.fairness[0]), _fmt(c.fairness[1]),
-                _fmt(c.loss[0]), _fmt(c.loss[1]),
-            ]) + "\n")
+    _write_csv(path, header, (",".join(map(str, [
+        c.name, c.mix, c.capacity_mbps, c.buffer_pkts, f'"{c.delta_t}"',
+        "on" if c.slow_start else "off", c.runs, *c.eta, *c.fairness, *c.loss,
+    ])) for c in summaries))

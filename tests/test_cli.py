@@ -61,6 +61,21 @@ def test_run_refuses_overwrite_without_force(tmp_path, scn_file, capsys):
     assert cli.main(["run", "--scenario", str(scn_file), "--out", out, "--force"]) == 0
 
 
+def test_fig2_checks_every_output_before_the_first_run(tmp_path, monkeypatch, capsys):
+    # only the last preset's summary exists: nothing may run or be written
+    existing = tmp_path / "tcp-alone-hs-b40-summary.csv"
+    existing.write_text("kept\n", encoding="utf-8")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a scenario before checking every output path")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    assert cli.main(["fig2", "--out", str(tmp_path)]) == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [existing]
+    assert existing.read_text(encoding="utf-8") == "kept\n"
+
+
 def test_run_same_seed_identical_bytes(tmp_path, scn_file):
     for sub in ("a", "b"):
         cli.main(["run", "--scenario", str(scn_file), "--out", str(tmp_path / sub)])

@@ -1,6 +1,7 @@
 """Golden runs: the SHA-256 of the trace and summary CSVs, and the number of
 events dispatched per kind, of every figure preset and of one summary-grid
-cell per flow mix, each cut to 30 s.
+cell per flow mix, each cut to 30 s; and the full-length `fig2a` and
+`fig3-bottom` output files against the digests pinned in bench/pinned.json.
 
 A refactor that is meant to keep behaviour must keep these bytes and this
 event schedule. A change that moves them on purpose re-records them and says
@@ -9,6 +10,7 @@ why.
 
 import functools
 import hashlib
+import json
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -17,11 +19,12 @@ from unittest import mock
 
 import pytest
 
-from ledbatsim import harness
+from ledbatsim import cli, harness
 from ledbatsim.engine import Engine
 from ledbatsim.harness import run_scenario, write_summary_csv, write_trace_csv
 from ledbatsim.scenario import get_preset
 
+ROOT = Path(__file__).resolve().parents[1]
 CUT_S = 30.0
 GRID_SEED = 5
 
@@ -120,3 +123,12 @@ def test_output_bytes_match_golden(preset):
 @pytest.mark.parametrize("preset", sorted(EVENTS))
 def test_event_counts_match_golden(preset):
     assert _golden_run(preset)[1] == EVENTS[preset]
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig3-bottom"])
+def test_full_length_output_matches_bench_pins(preset, tmp_path, monkeypatch):
+    monkeypatch.delenv("LEDBATSIM_OUT_DIR", raising=False)
+    # the cut runs above end at 30 s; this covers the late drops and ties
+    pinned = json.loads((ROOT / "bench" / "pinned.json").read_text())[preset]["files"]
+    assert cli.main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == pinned

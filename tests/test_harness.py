@@ -1,6 +1,8 @@
-"""Run orchestration, batch runs, starvation windows."""
+"""Run orchestration, batch runs, starvation windows, trace output."""
 
 import gc
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -11,8 +13,9 @@ from ledbatsim.harness import (
     detect_starvation,
     run_scenario,
     run_table1,
+    write_trace_csv,
 )
-from ledbatsim.scenario import Scenario, UsageError, ValidationError
+from ledbatsim.scenario import Scenario, UsageError, ValidationError, get_preset
 from ledbatsim.transport import FlowSpec
 
 S = 1_000_000
@@ -163,3 +166,68 @@ def test_starvation_requires_a_thriving_competitor():
     tr = _starvation_trace([1e5, 1e5])
     tr.delivered_bytes[0] = [0, 125, 250]  # flow 0 barely moves either
     assert detect_starvation(tr) == []
+
+
+# -- trace output -------------------------------------------------------------------
+
+
+def test_trace_rows_at_equal_times(tmp_path):
+    # ticks at 0, 10 and 20 us; flow 0 loss-based (no delay series)
+    tr = TraceSet([0, 1], 10_000_000, 20)
+    for i, t in enumerate((0, 10, 20)):
+        tr.sample_t_us.append(t)
+        tr.queue_pkts.append(i)
+        tr.cwnd_pkts[0].append(2.0 + i)
+        tr.cwnd_pkts[1].append(3)
+        tr.base_delay_us[0].append(None)
+        tr.queuing_est_us[0].append(None)
+        tr.base_delay_us[1].append(50 + i)
+        tr.queuing_est_us[1].append(i)
+        tr.delivered_bytes[0].append(100 * i)
+        tr.delivered_bytes[1].append(10 * i)
+    tr.drops = [(10, 1, 7), (25, 0, 9)]  # one at a tick, one after the last
+    tr.halvings[0] = [(15, 1.5, 4), (25, 1.0, 4)]
+    tr.halvings[1] = [(15, 2.5, 4)]  # the same instant as flow 0's
+    path = tmp_path / "trace.csv"
+    write_trace_csv(tr, path)
+    assert path.read_bytes().decode() == (
+        "t_us,entity,series,value\n"
+        "0,link,queue_pkts,0\n"
+        "0,0,cwnd_pkts,2.0\n"
+        "0,0,delivery,0\n"
+        "0,1,cwnd_pkts,3\n"
+        "0,1,base_delay_us,50\n"
+        "0,1,queuing_est_us,0\n"
+        "0,1,delivery,0\n"
+        "10,link,queue_pkts,1\n"
+        "10,0,cwnd_pkts,3.0\n"
+        "10,0,delivery,100\n"
+        "10,1,cwnd_pkts,3\n"
+        "10,1,base_delay_us,51\n"
+        "10,1,queuing_est_us,1\n"
+        "10,1,delivery,10\n"
+        "10,1,drop,7\n"
+        "15,0,cwnd_pkts,1.5\n"
+        "15,1,cwnd_pkts,2.5\n"
+        "20,link,queue_pkts,2\n"
+        "20,0,cwnd_pkts,4.0\n"
+        "20,0,delivery,200\n"
+        "20,1,cwnd_pkts,3\n"
+        "20,1,base_delay_us,52\n"
+        "20,1,queuing_est_us,2\n"
+        "20,1,delivery,20\n"
+        "25,0,drop,9\n"
+        "25,0,cwnd_pkts,1.0\n"
+    )
+
+
+def test_trace_writer_holds_no_copy_of_the_trace(tmp_path):
+    # a 30 s fig2a trace is about 27k lines, over 4 MB if held as a list of rows
+    trace = run_scenario(replace(get_preset("fig2a"), duration_s=30.0)).trace
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
