@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import RunResult, detect_starvation, extract_check_facts, run_scenario, run_table1
-from .metrics import jain_fairness, utilization
+from .metrics import compute_report, jain_fairness, utilization
 from .scenario import Scenario, get_preset
 from .transport import FlowSpec
 
@@ -32,24 +32,44 @@ class CriterionResult:
     passed: bool
 
 
-CRITERIA_IDS = [
-    "1a", "1b", "1c", "1d",
-    "2-fairness", "2-utilization",
-    "3", "4",
-    "5a", "5b", "5c", "5d",
-    "6a", "6b", "6c", "6d", "6e", "6f", "6g",
-    "7",
-]
-
-
-def _sample_index_window(trace, t0_us, t1_us):
-    return [i for i, t in enumerate(trace.sample_t_us) if t0_us <= t <= t1_us]
+# cid -> (description, expected band), in report order
+CRITERIA = {
+    "1a": ("delay-based window plateaus at the queue target in [2,4] s",
+           "queue in [18.8, 22.8] pkts while window is at its pre-loss plateau"),
+    "1b": ("first loss-based-flow drop in [5,8] s, window halves to ~40",
+           "drop time in [5,8] s and post-halving window in [32,48] pkts"),
+    "1c": ("two-flow fairness over [0,300] s", "0.65 +/- 0.07"),
+    "1d": ("utilization gain from the delay-based flow", "+16 +/- 6 percent relative"),
+    "2-fairness": ("two delay-based flows started together share fairly", "F > 0.99"),
+    "2-utilization": ("delay-based pair utilization close to mixed pair", "within 2 points"),
+    "3": ("late-start pair on the small buffer: resync loss then fair share",
+          ">=1 drop in [20,30] s and F > 0.8 over [30,300] s"),
+    "4": ("large buffer: no losses before the minima history turns over; "
+          "first flow starved until it does",
+          "0 drops before 120 s; episode from ~20 s to ~120 s"),
+    "5a": ("delay-based pair, fast link, late start, no slow start", "0.53 +/- 0.08"),
+    "5b": ("same cell with slow start restores fairness", "0.99 +/- 0.02"),
+    "5c": ("loss-based vs delay-based on the slow link", "eta >= 96% and F = 0.60 +/- 0.08"),
+    "5d": ("slow-start loss rates stay small (delay-based pairs)", "<= 5e-3"),
+    "6a": ("per-ack window update never exceeds 1/cwnd", "<= 1.0 exactly"),
+    "6b": ("receiver clock offsets cancel out of every trajectory",
+           "trajectories equal for offsets +/-1 s and +/-1 h, base shifted exactly"),
+    "6c": ("delay estimator pinned to zero degenerates to the loss-based law",
+           "bit-identical window series, halvings, and drops"),
+    "6d": ("packet conservation at every sample of every run",
+           "offered == delivered + dropped + queued + in service"),
+    "6e": ("fairness index bounds and scale invariance (1e4 random vectors)",
+           "1/N <= F <= 1 and F(kx)=F(x) to 1e-12 relative"),
+    "6f": ("window floor of one packet at every sample", ">= 1.0"),
+    "6g": ("window halvings at least one smoothed RTT apart", "inter-halving time >= smoothed RTT"),
+    "7": ("run command is byte-deterministic", "byte-identical files for the same seed"),
+}
+CRITERIA_IDS = list(CRITERIA)
 
 
 def _criterion_1(fig2a: RunResult, tcp_alone: RunResult):
     tr = fig2a.trace
     tcp_id, ledbat_id = 0, 1
-    results = []
 
     drops = tr.drops
     first_drop_us = drops[0][0] if drops else tr.duration_us
@@ -60,44 +80,26 @@ def _criterion_1(fig2a: RunResult, tcp_alone: RunResult):
 
     # 1a: somewhere in [2,4] s the delay-based window sits at its plateau and
     # the sampled queue is within 2 packets of the 20.8-packet delay target.
-    window = _sample_index_window(tr, 2 * S, 4 * S)
+    window = [i for i, t in enumerate(ts) if 2 * S <= t <= 4 * S]
     i_star = max(window, key=lambda i: cw[i])
     q_star = tr.queue_pkts[i_star]
     at_plateau = cw[i_star] >= 0.97 * peak
     q_ok = 18.8 <= q_star <= 22.8
-    results.append(CriterionResult(
-        "1a", "delay-based window plateaus at the queue target in [2,4] s",
-        f"queue={q_star} pkts at t={ts[i_star] / S:.2f} s "
-        f"(window {cw[i_star]:.1f} of peak {peak:.1f})",
-        "queue in [18.8, 22.8] pkts while window is at its pre-loss plateau",
-        at_plateau and q_ok,
-    ))
 
     # 1b: first loss in [5,8] s; the loss-based window halves to about 40.
     tcp_drops = [t for t, fid, _ in drops if fid == tcp_id]
     first_tcp_drop = tcp_drops[0] if tcp_drops else None
     halvings = tr.halvings[tcp_id]
     halve_to = halvings[0][1] if halvings else None
-    ok = (
+    ok_1b = (
         first_tcp_drop is not None
         and 5 * S <= first_tcp_drop <= 8 * S
         and halve_to is not None
         and 32.0 <= halve_to <= 48.0
     )
-    results.append(CriterionResult(
-        "1b", "first loss-based-flow drop in [5,8] s, window halves to ~40",
-        f"first drop at t={first_tcp_drop / S:.2f} s, halved to {halve_to:.1f} pkts"
-        if first_tcp_drop is not None and halve_to is not None else "no drop/halving seen",
-        "drop time in [5,8] s and post-halving window in [32,48] pkts",
-        ok,
-    ))
 
     # 1c: fairness over the full run.
     f = fig2a.metrics.fairness
-    results.append(CriterionResult(
-        "1c", "two-flow fairness over [0,300] s",
-        f"F={f:.3f}", "0.65 +/- 0.07", 0.58 <= f <= 0.72,
-    ))
 
     # 1d: how much the delay-based flow lifts utilization beyond the
     # loss-based flow's own share of the same run (relative percent), with the
@@ -106,55 +108,41 @@ def _criterion_1(fig2a: RunResult, tcp_alone: RunResult):
     eta_total = fig2a.metrics.eta_percent
     eta_tcp_share = utilization(tr, fig2a.scenario.capacity_bps, span, flow_id=tcp_id)
     gain = 100.0 * (eta_total - eta_tcp_share) / eta_tcp_share
-    results.append(CriterionResult(
-        "1d", "utilization gain from the delay-based flow",
-        f"total {eta_total:.1f}% vs loss-based share {eta_tcp_share:.1f}% "
-        f"-> +{gain:.1f}% relative (solo loss-based run: {tcp_alone.metrics.eta_percent:.1f}%)",
-        "+16 +/- 6 percent relative",
-        10.0 <= gain <= 22.0,
-    ))
-    return results
+    return {
+        "1a": (f"queue={q_star} pkts at t={ts[i_star] / S:.2f} s "
+               f"(window {cw[i_star]:.1f} of peak {peak:.1f})",
+               at_plateau and q_ok),
+        "1b": (f"first drop at t={first_tcp_drop / S:.2f} s, halved to {halve_to:.1f} pkts"
+               if first_tcp_drop is not None and halve_to is not None else "no drop/halving seen",
+               ok_1b),
+        "1c": (f"F={f:.3f}", 0.58 <= f <= 0.72),
+        "1d": (f"total {eta_total:.1f}% vs loss-based share {eta_tcp_share:.1f}% "
+               f"-> +{gain:.1f}% relative (solo loss-based run: {tcp_alone.metrics.eta_percent:.1f}%)",
+               10.0 <= gain <= 22.0),
+    }
 
 
 def _criterion_2(fig2b: RunResult, fig2a: RunResult):
     f = fig2b.metrics.fairness
     d_eta = abs(fig2b.metrics.eta_percent - fig2a.metrics.eta_percent)
-    return [
-        CriterionResult(
-            "2-fairness", "two delay-based flows started together share fairly",
-            f"F={f:.4f}", "F > 0.99", f > 0.99,
-        ),
-        CriterionResult(
-            "2-utilization", "delay-based pair utilization close to mixed pair",
-            f"|delta eta|={d_eta:.2f} points", "within 2 points", d_eta <= 2.0,
-        ),
-    ]
+    return {
+        "2-fairness": (f"F={f:.4f}", f > 0.99),
+        "2-utilization": (f"|delta eta|={d_eta:.2f} points", d_eta <= 2.0),
+    }
 
 
 def _criterion_3(fig3mid: RunResult):
     tr = fig3mid.trace
     resync_drops = [t for t, _, _ in tr.drops if 20 * S <= t <= 30 * S]
-    rep = None
-    ok_f = False
-    f_txt = "n/a"
-    if tr.sample_t_us[-1] >= 300 * S:
-        from .metrics import compute_report
-        rep = compute_report(tr, fig3mid.scenario.capacity_bps, (30 * S, 300 * S))
-        ok_f = rep.fairness > 0.8
-        f_txt = f"{rep.fairness:.3f}"
-    return [CriterionResult(
-        "3", "late-start pair on the small buffer: resync loss then fair share",
-        f"{len(resync_drops)} drops in [20,30] s; F[30,300]={f_txt}",
-        ">=1 drop in [20,30] s and F > 0.8 over [30,300] s",
-        bool(resync_drops) and ok_f,
-    )]
+    f = compute_report(tr, fig3mid.scenario.capacity_bps, (30 * S, 300 * S)).fairness
+    return {"3": (f"{len(resync_drops)} drops in [20,30] s; F[30,300]={f:.3f}",
+                  bool(resync_drops) and f > 0.8)}
 
 
 def _criterion_4(fig3bot: RunResult):
     tr = fig3bot.trace
     early_drops = [t for t, _, _ in tr.drops if t < 120 * S]
-    episodes = detect_starvation(tr)
-    first_flow_eps = [e for e in episodes if e.flow_id == 0]
+    first_flow_eps = [e for e in detect_starvation(tr) if e.flow_id == 0]
     ep_ok = any(
         10 * S <= e.t0_us <= 40 * S and 110 * S <= e.t1_us <= 140 * S
         for e in first_flow_eps
@@ -162,61 +150,43 @@ def _criterion_4(fig3bot: RunResult):
     ep_txt = ", ".join(
         f"[{e.t0_us / S:.0f},{e.t1_us / S:.0f}] s" for e in first_flow_eps
     ) or "none"
-    return [CriterionResult(
-        "4", "large buffer: no losses before the minima history turns over; "
-             "first flow starved until it does",
-        f"{len(early_drops)} drops before 120 s; first-flow starvation {ep_txt}",
-        "0 drops before 120 s; episode from ~20 s to ~120 s",
-        not early_drops and ep_ok,
-    )]
+    return {"4": (f"{len(early_drops)} drops before 120 s; first-flow starvation {ep_txt}",
+                  not early_drops and ep_ok)}
 
 
-# spot cells exercised for the summary-grid bands
-_CELL_LL_HS_NOSS = "table1-ll-c10-b50-dt10-noss"
-_CELL_LL_HS_SS = "table1-ll-c10-b50-dt10-ss"
-_CELL_TL_ADSL_NOSS = "table1-tl-c2-b10-dt2-noss"
-_CELL_LL_ADSL_SS = "table1-ll-c2-b10-dt2-ss"
+def _criterion_5(by_name):
+    def f_txt(s):
+        return f"F={s.fairness[0]:.3f} (std {s.fairness[1]:.3f}, {s.runs} runs)"
 
-
-def _criterion_5(table_runs, seed, jobs):
-    cells = ["ll-c10-b50-dt10", "tl-c2-b10-dt2-noss", "ll-c2-b10-dt2-ss"]
-    summaries, facts = run_table1(table_runs, seed, jobs=jobs, cells=cells)
-    by_name = {s.name: s for s in summaries}
-    results = []
-
-    s = by_name[_CELL_LL_HS_NOSS]
-    results.append(CriterionResult(
-        "5a", "delay-based pair, fast link, late start, no slow start",
-        f"F={s.fairness[0]:.3f} (std {s.fairness[1]:.3f}, {s.runs} runs)",
-        "0.53 +/- 0.08", 0.45 <= s.fairness[0] <= 0.61,
-    ))
-
-    s = by_name[_CELL_LL_HS_SS]
-    results.append(CriterionResult(
-        "5b", "same cell with slow start restores fairness",
-        f"F={s.fairness[0]:.3f} (std {s.fairness[1]:.3f}, {s.runs} runs)",
-        "0.99 +/- 0.02", s.fairness[0] >= 0.97,
-    ))
-
-    s = by_name[_CELL_TL_ADSL_NOSS]
-    results.append(CriterionResult(
-        "5c", "loss-based vs delay-based on the slow link",
-        f"eta={s.eta[0]:.1f}%, F={s.fairness[0]:.3f} ({s.runs} runs)",
-        "eta >= 96% and F = 0.60 +/- 0.08",
-        s.eta[0] >= 96.0 and 0.52 <= s.fairness[0] <= 0.68,
-    ))
-
+    noss = by_name["table1-ll-c10-b50-dt10-noss"]
+    ss = by_name["table1-ll-c10-b50-dt10-ss"]
+    adsl = by_name["table1-tl-c2-b10-dt2-noss"]
     ss_losses = {
         name: by_name[name].loss[0]
-        for name in (_CELL_LL_HS_SS, _CELL_LL_ADSL_SS)
+        for name in ("table1-ll-c10-b50-dt10-ss", "table1-ll-c2-b10-dt2-ss")
     }
     worst = max(ss_losses, key=ss_losses.get)
-    results.append(CriterionResult(
-        "5d", "slow-start loss rates stay small (delay-based pairs)",
-        f"worst mean L={ss_losses[worst]:.2e} ({worst})",
-        "<= 5e-3", ss_losses[worst] <= 5e-3,
-    ))
-    return results, facts
+    return {
+        "5a": (f_txt(noss), 0.45 <= noss.fairness[0] <= 0.61),
+        "5b": (f_txt(ss), ss.fairness[0] >= 0.97),
+        "5c": (f"eta={adsl.eta[0]:.1f}%, F={adsl.fairness[0]:.3f} ({adsl.runs} runs)",
+               adsl.eta[0] >= 96.0 and 0.52 <= adsl.fairness[0] <= 0.68),
+        "5d": (f"worst mean L={ss_losses[worst]:.2e} ({worst})", ss_losses[worst] <= 5e-3),
+    }
+
+
+def _pooled_facts(facts):
+    """6a, 6d, 6f, 6g: exact properties pooled over every figure and grid run."""
+    max_ratio = max(f.max_update_ratio for f in facts)
+    conservation = all(f.conservation_ok for f in facts)
+    min_cwnd = min(f.min_sampled_cwnd for f in facts)
+    gaps = all(f.halving_gaps_ok for f in facts)
+    return {
+        "6a": (f"max update ratio {max_ratio!r} pkts", max_ratio <= 1.0),
+        "6d": ("held everywhere" if conservation else "violated", conservation),
+        "6f": (f"min sampled window {min_cwnd}", min_cwnd >= 1.0),
+        "6g": ("all gaps >= gate" if gaps else "gap shorter than the RTT gate seen", gaps),
+    }
 
 
 def _offset_scenario(offset_us: int) -> Scenario:
@@ -245,12 +215,8 @@ def _criterion_6b():
         )
         if not (same and shifted):
             bad.append(off)
-    return [CriterionResult(
-        "6b", "receiver clock offsets cancel out of every trajectory",
-        "all offset runs identical" if not bad else f"divergence at offsets {bad}",
-        "trajectories equal for offsets +/-1 s and +/-1 h, base shifted exactly",
-        not bad,
-    )]
+    return {"6b": ("all offset runs identical" if not bad else f"divergence at offsets {bad}",
+                   not bad)}
 
 
 def _criterion_6c():
@@ -268,12 +234,7 @@ def _criterion_6c():
         and r_pin.trace.halvings[0] == r_tcp.trace.halvings[0]
         and r_pin.trace.drops == r_tcp.trace.drops
     )
-    return [CriterionResult(
-        "6c", "delay estimator pinned to zero degenerates to the loss-based law",
-        "window trajectories bit-identical" if same else "trajectories diverge",
-        "bit-identical window series, halvings, and drops",
-        same,
-    )]
+    return {"6c": ("window trajectories bit-identical" if same else "trajectories diverge", same)}
 
 
 def _criterion_6e(seed: int):
@@ -293,13 +254,9 @@ def _criterion_6e(seed: int):
         k = float(rng.uniform(1e-6, 1e6))
         rel = abs(jain_fairness(k * x) - f) / f
         worst_rel = max(worst_rel, rel)
-    ok = bounds_ok and worst_rel <= 1e-12
-    return [CriterionResult(
-        "6e", "fairness index bounds and scale invariance (1e4 random vectors)",
-        f"bounds {'ok' if bounds_ok else 'violated'}, worst relative drift {worst_rel:.2e}",
-        "1/N <= F <= 1 and F(kx)=F(x) to 1e-12 relative",
-        ok,
-    )]
+    return {"6e": (f"bounds {'ok' if bounds_ok else 'violated'}, "
+                   f"worst relative drift {worst_rel:.2e}",
+                   bounds_ok and worst_rel <= 1e-12)}
 
 
 def _criterion_7():
@@ -328,76 +285,34 @@ def _criterion_7():
                     "run", "--scenario", str(scn_path), "--out", str(tmp / sub),
                 ])
             if rc != 0:
-                return [CriterionResult(
-                    "7", "run command is byte-deterministic",
-                    f"run exited {rc}", "exit 0 twice with identical bytes", False,
-                )]
+                return {"7": (f"run exited {rc}", False)}
             outs.append({
                 p.name: p.read_bytes() for p in sorted((tmp / sub).iterdir())
             })
         same = outs[0] == outs[1]
-    return [CriterionResult(
-        "7", "run command is byte-deterministic",
-        "trace and summary bytes identical" if same else "output bytes differ",
-        "byte-identical files for the same seed",
-        same,
-    )]
+    return {"7": ("trace and summary bytes identical" if same else "output bytes differ", same)}
 
 
 def run_acceptance(table_runs: int = 20, seed: int = 7, jobs: int = 1) -> list[CriterionResult]:
-    """Run every acceptance criterion; returns one result per criterion id."""
-    results: list[CriterionResult] = []
-    facts = []
-
-    def scenario_run(preset: str) -> RunResult:
-        r = run_scenario(replace(get_preset(preset), seed=seed))
-        facts.append(extract_check_facts(r))
-        return r
-
-    fig2a = scenario_run("fig2a")
-    tcp_alone = scenario_run("tcp-alone-hs-b40")
-    fig2b = scenario_run("fig2b")
-    fig3mid = scenario_run("fig3-mid")
-    fig3bot = scenario_run("fig3-bottom")
-
-    results += _criterion_1(fig2a, tcp_alone)
-    results += _criterion_2(fig2b, fig2a)
-    results += _criterion_3(fig3mid)
-    results += _criterion_4(fig3bot)
-
-    table_results, table_facts = _criterion_5(table_runs, seed, jobs)
-    results += table_results
-    facts.extend(table_facts)
-
-    # exact properties, pooled over every run above
-    max_ratio = max(f.max_update_ratio for f in facts)
-    results.append(CriterionResult(
-        "6a", "per-ack window update never exceeds 1/cwnd",
-        f"max update ratio {max_ratio!r} pkts",
-        "<= 1.0 exactly", max_ratio <= 1.0,
-    ))
-    results += _criterion_6b()
-    results += _criterion_6c()
-    conservation = all(f.conservation_ok for f in facts)
-    results.append(CriterionResult(
-        "6d", "packet conservation at every sample of every run",
-        "held everywhere" if conservation else "violated",
-        "offered == delivered + dropped + queued + in service", conservation,
-    ))
-    results += _criterion_6e(seed)
-    min_cwnd = min(f.min_sampled_cwnd for f in facts)
-    results.append(CriterionResult(
-        "6f", "window floor of one packet at every sample",
-        f"min sampled window {min_cwnd}", ">= 1.0", min_cwnd >= 1.0,
-    ))
-    gaps = all(f.halving_gaps_ok for f in facts)
-    results.append(CriterionResult(
-        "6g", "window halvings at least one smoothed RTT apart",
-        "all gaps >= gate" if gaps else "gap shorter than the RTT gate seen",
-        "inter-halving time >= smoothed RTT", gaps,
-    ))
-    results += _criterion_7()
-
-    order = {cid: i for i, cid in enumerate(CRITERIA_IDS)}
-    results.sort(key=lambda r: order[r.cid])
-    return results
+    """Run every acceptance criterion; returns one result per criterion id, in
+    CRITERIA order."""
+    presets = ("fig2a", "tcp-alone-hs-b40", "fig2b", "fig3-mid", "fig3-bottom")
+    runs = {p: run_scenario(replace(get_preset(p), seed=seed)) for p in presets}
+    # the four grid cells of criterion 5 (the first substring selects two)
+    cells = ["ll-c10-b50-dt10", "tl-c2-b10-dt2-noss", "ll-c2-b10-dt2-ss"]
+    summaries, table_facts = run_table1(table_runs, seed, jobs=jobs, cells=cells)
+    facts = [extract_check_facts(r) for r in runs.values()] + table_facts
+    got = {
+        **_criterion_1(runs["fig2a"], runs["tcp-alone-hs-b40"]),
+        **_criterion_2(runs["fig2b"], runs["fig2a"]),
+        **_criterion_3(runs["fig3-mid"]),
+        **_criterion_4(runs["fig3-bottom"]),
+        **_criterion_5({s.name: s for s in summaries}),
+        **_pooled_facts(facts),
+        **_criterion_6b(),
+        **_criterion_6c(),
+        **_criterion_6e(seed),
+        **_criterion_7(),
+    }
+    return [CriterionResult(cid, description, got[cid][0], expected, got[cid][1])
+            for cid, (description, expected) in CRITERIA.items()]

@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--cells", action="append", metavar="SUBSTRING",
                        help="only cells whose name contains SUBSTRING (repeatable)")
     p_tab.add_argument("--verbose", action="store_true",
-                       help="print each finished cell")
+                       help="print each finished run")
     add_common(p_tab, runs_scenarios=False)
     p_tab.set_defaults(func=cmd_table1)
 

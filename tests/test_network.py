@@ -104,3 +104,28 @@ def test_ack_path_is_a_fixed_delay():
     back.send(Packet(0, 0, 40, 0, is_ack=True, ack_of_seq=1))
     eng.run(until=100_000)
     assert arrivals == [25_000]
+
+
+@pytest.mark.parametrize("offer_scheduled_first, accepted", [(True, False), (False, True)])
+def test_offer_at_the_heads_departure_time(offer_scheduled_first, accepted):
+    """A full buffer and a packet offered at exactly the head's departure time:
+    the engine dispatches equal times in schedule order, so the packet is
+    dropped when its event was scheduled before the head's service-done
+    event, and accepted when scheduled after it. A link that works out each
+    departure at enqueue time must keep this rule or state where it differs."""
+    eng = Engine()
+    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=1)
+    results = []
+    eng.register(EventKind.PACKET_ARRIVAL, lambda _pkt: None)
+    eng.register(EventKind.PACING_TIMER, lambda pkt: results.append(link.enqueue(pkt)))
+    departs_at = service_time_us(1500, 10_000_000)
+    if offer_scheduled_first:
+        eng.schedule(departs_at, EventKind.PACING_TIMER, _pkt(3))
+    assert link.enqueue(_pkt(1)) and link.enqueue(_pkt(2))  # in service, one waiting
+    if not offer_scheduled_first:
+        eng.schedule(departs_at, EventKind.PACING_TIMER, _pkt(3))
+    eng.run(until=departs_at)
+    assert results == [accepted]
+    assert link.delivered == 1
+    assert [p.seq for p in link.queue] == ([2, 3] if accepted else [2])
+    assert link.drops == ([] if accepted else [(departs_at, 0, 3)])
