@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 acceptance failure, 2 usage or configuration error.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -51,10 +52,17 @@ def _prepare_paths(out_dir: Path, names, force: bool) -> list[Path]:
 
 
 def _sample_us(args) -> int:
-    sample_us = round(args.sample_ms * 1000)
+    sample_us = round(args.sample_ms * 1000) if math.isfinite(args.sample_ms) else 0
     if sample_us <= 0:
-        raise UsageError("--sample-ms must be positive")
+        raise UsageError("--sample-ms must be a positive finite number")
     return sample_us
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def _run_and_write(targets, args) -> int:
@@ -66,6 +74,9 @@ def _run_and_write(targets, args) -> int:
         scenarios = [replace(s, seed=args.seed) for s in scenarios]
     for scenario in scenarios:
         scenario.validate()
+        if sample_us > scenario.duration_us:  # the run would hold one sample
+            raise UsageError(f"--sample-ms {args.sample_ms:g} is longer than "
+                             f"{scenario.name}'s {scenario.duration_s:g} s run")
     paths = _prepare_paths(_out_dir(args), [f"{s.name}-{kind}.csv" for s in scenarios
                                             for kind in ("trace", "summary")], args.force)
     for scenario, trace_path, summary_path in zip(scenarios, paths[::2], paths[1::2]):
@@ -158,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
 
     p_tab = sub.add_parser("table1", help="run the randomized summary grid")
-    p_tab.add_argument("--runs", type=int, default=10,
+    p_tab.add_argument("--runs", type=_at_least_one, default=10,
                        help="runs per cell (default: 10)")
     p_tab.add_argument("--seed", type=int, default=0, help="base seed")
-    p_tab.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_tab.add_argument("--jobs", type=_at_least_one, default=1, help="worker processes")
     p_tab.add_argument("--cells", action="append", metavar="SUBSTRING",
                        help="only cells whose name contains SUBSTRING (repeatable)")
     p_tab.add_argument("--verbose", action="store_true",
@@ -170,10 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.set_defaults(func=cmd_table1)
 
     p_chk = sub.add_parser("check", help="run the acceptance suite")
-    p_chk.add_argument("--runs", type=int, default=20,
+    p_chk.add_argument("--runs", type=_at_least_one, default=20,
                        help="runs per summary-grid cell (default: 20)")
     p_chk.add_argument("--seed", type=int, default=7, help="base seed")
-    p_chk.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p_chk.add_argument("--jobs", type=_at_least_one, default=1, help="worker processes")
     p_chk.set_defaults(func=cmd_check)
 
     return parser

@@ -7,8 +7,8 @@ fire times dispatch in insertion order, so a run is a pure function of the
 schedule calls made against it.
 """
 
-import heapq
 from enum import IntEnum, auto
+from heapq import heappop, heappush
 
 
 class EventKind(IntEnum):
@@ -47,11 +47,8 @@ class Engine:
             raise SchedulingInPast(
                 f"fire_at={fire_at} is before current clock {self.now}"
             )
-        heapq.heappush(self._heap, (fire_at, self._seq, kind, payload))
+        heappush(self._heap, (fire_at, self._seq, kind, payload))
         self._seq += 1
-
-    def schedule_in(self, delay: int, kind: EventKind, payload=None) -> None:
-        self.schedule(self.now + delay, kind, payload)
 
     def run(self, until: int) -> None:
         """Dispatch events with fire_at <= until in order.
@@ -61,8 +58,7 @@ class Engine:
         """
         heap = self._heap
         handlers = self._handlers
-        pop = heapq.heappop
         while heap and heap[0][0] <= until:
-            fire_at, _, kind, payload = pop(heap)
+            fire_at, _, kind, payload = heappop(heap)
             self.now = fire_at
             handlers[kind](payload)

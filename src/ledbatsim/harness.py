@@ -120,7 +120,13 @@ class _Simulation:
                 sender_cls(self.engine, fid, self.link, scenario.packet_bytes, spec))
             self.receivers.append(Receiver(fid, spec.clock_offset_us))
 
-        self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps, self.duration_us)
+        tr = self.trace = TraceSet(
+            range(len(self.senders)), scenario.capacity_bps, self.duration_us)
+        # what each tick appends to, per flow: the delay series only for ledbat
+        self._flow_series = [
+            (s, tr.cwnd_pkts[s.flow_id], tr.delivered_bytes[s.flow_id],
+             tr.base_delay_us[s.flow_id], tr.queuing_est_us[s.flow_id], s.kind == "ledbat")
+            for s in self.senders]
 
         eng = self.engine
         eng.register(EventKind.PACKET_ARRIVAL, self._on_arrival)
@@ -151,16 +157,16 @@ class _Simulation:
         tr.queue_pkts.append(len(link.queue))
         tr.link_offered.append(link.offered)
         tr.link_dropped.append(len(link.drops))
-        for s in self.senders:
-            fid = s.flow_id
-            tr.cwnd_pkts[fid].append(s.cwnd)
-            tr.delivered_bytes[fid].append(link.bytes_by_flow.get(fid, 0))
-            if s.kind == "ledbat":
-                tr.base_delay_us[fid].append(s.base_delay_us)
-                tr.queuing_est_us[fid].append(s.queuing_delay_est_us())
+        bytes_by_flow = link.bytes_by_flow
+        for s, cwnd, delivered, base, qest, is_ledbat in self._flow_series:
+            cwnd.append(s.cwnd)
+            delivered.append(bytes_by_flow.get(s.flow_id, 0))
+            if is_ledbat:
+                base.append(s.base_delay_us)
+                qest.append(s.queuing_delay_est_us())
             else:
-                tr.base_delay_us[fid].append(None)
-                tr.queuing_est_us[fid].append(None)
+                base.append(None)
+                qest.append(None)
         if not link.conservation_ok():
             tr.conservation_ok = False
             raise RuntimeError(f"packet conservation violated at t={now}")
@@ -313,8 +319,8 @@ def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
     """Run the summary grid: both flow mixes on both links, three start
     offsets, slow start off and on. `cells` filters by substring of the cell
     name without disturbing per-cell seeding."""
-    if runs_per_cell < 1:
-        raise UsageError("runs_per_cell must be at least 1")
+    if runs_per_cell < 1 or jobs < 1:
+        raise UsageError("runs_per_cell and jobs must each be at least 1")
     grid = table1_cells()
     work = []  # (cell index, concrete run scenario)
     selected = []

@@ -25,8 +25,25 @@ class Packet:
     is_retransmission: bool = False
 
 
+# bound once: an enum member lookup costs several times a global's, once per packet
+PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
+LINK_SERVICE_DONE = EventKind.LINK_SERVICE_DONE
+
+
 def service_time_us(size_bytes: int, capacity_bps: int) -> int:
     return size_bytes * 8 * 1_000_000 // capacity_bps
+
+
+class _ServiceTimes(dict):
+    """size_bytes -> service_time_us at one link rate, each size computed once."""
+
+    def __init__(self, capacity_bps: int):
+        super().__init__()
+        self.capacity_bps = capacity_bps
+
+    def __missing__(self, size_bytes: int) -> int:
+        svc = self[size_bytes] = service_time_us(size_bytes, self.capacity_bps)
+        return svc
 
 
 class Bottleneck:
@@ -52,6 +69,7 @@ class Bottleneck:
         self.buffer_pkts = buffer_pkts
 
         self.queue: deque[Packet] = deque()
+        self._service_us = _ServiceTimes(capacity_bps)
 
         self.offered = 0
         self.delivered = 0
@@ -70,10 +88,7 @@ class Bottleneck:
         queue.append(pkt)
         if len(queue) == 1:  # the link was idle: serve it at once
             engine = self.engine
-            engine.schedule(
-                engine.now + service_time_us(pkt.size_bytes, self.capacity_bps),
-                EventKind.LINK_SERVICE_DONE,
-            )
+            engine.schedule(engine.now + self._service_us[pkt.size_bytes], LINK_SERVICE_DONE)
         return True
 
     def _service_done(self, _payload) -> None:
@@ -81,14 +96,13 @@ class Bottleneck:
         pkt = queue.popleft()
         self.delivered += 1
         fid = pkt.flow_id
-        self.bytes_by_flow[fid] = self.bytes_by_flow.get(fid, 0) + pkt.size_bytes
+        bytes_by_flow = self.bytes_by_flow
+        bytes_by_flow[fid] = bytes_by_flow.get(fid, 0) + pkt.size_bytes
         engine = self.engine
-        engine.schedule_in(self.prop_delay_us, EventKind.PACKET_ARRIVAL, pkt)
+        now = engine.now
+        engine.schedule(now + self.prop_delay_us, PACKET_ARRIVAL, pkt)
         if queue:
-            engine.schedule(
-                engine.now + service_time_us(queue[0].size_bytes, self.capacity_bps),
-                EventKind.LINK_SERVICE_DONE,
-            )
+            engine.schedule(now + self._service_us[queue[0].size_bytes], LINK_SERVICE_DONE)
 
     def conservation_ok(self) -> bool:
         return self.offered == self.delivered + len(self.drops) + len(self.queue)
@@ -102,4 +116,5 @@ class AckPath:
         self.delay_us = delay_us
 
     def send(self, ack: Packet) -> None:
-        self.engine.schedule_in(self.delay_us, EventKind.PACKET_ARRIVAL, ack)
+        engine = self.engine
+        engine.schedule(engine.now + self.delay_us, PACKET_ARRIVAL, ack)

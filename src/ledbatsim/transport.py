@@ -28,6 +28,7 @@ ACK_BYTES = 40
 DUPACK_THRESHOLD = 3
 MIN_TIMEOUT_US = 1_000_000
 MIN_CWND_PKTS = 1.0  # window floor, in packets, for both controllers
+PACING_TIMER = EventKind.PACING_TIMER  # bound once, as in network.py
 
 
 @dataclass
@@ -70,23 +71,18 @@ class Receiver:
         """
         measured = now + self.clock_offset_us - pkt.sent_at_sender_clock
         seq = pkt.seq
-        if seq == self.highest_in_order + 1:
+        expected = self.highest_in_order + 1
+        if seq == expected:
+            buffered = self._buffered
+            while seq + 1 in buffered:
+                seq += 1
+                buffered.remove(seq)
             self.highest_in_order = seq
-            while self.highest_in_order + 1 in self._buffered:
-                self._buffered.remove(self.highest_in_order + 1)
-                self.highest_in_order += 1
-        elif seq > self.highest_in_order + 1:
+        elif seq > expected:
             self._buffered.add(seq)
         # else: stale duplicate, still re-ack the cumulative point
-        return Packet(
-            self.flow_id,
-            0,
-            ACK_BYTES,
-            now,
-            is_ack=True,
-            ack_of_seq=self.highest_in_order,
-            measured_delay_us=measured,
-        )
+        # positional: flow_id, seq, size_bytes, sent_at, is_ack, ack_of_seq, measured_delay_us
+        return Packet(self.flow_id, 0, ACK_BYTES, now, True, self.highest_in_order, measured)
 
 
 class SenderBase:
@@ -144,14 +140,16 @@ class SenderBase:
         self.try_send(now)
 
     def try_send(self, now: int) -> None:
-        while self.cwnd - self.flightsize >= 1.0:
-            gap = self.pacing_gap_us()
+        # a send changes neither the window nor the RTT estimate, so the gap
+        # read on the first pass holds for the whole call
+        gap = None
+        while self.cwnd - (self.next_seq - 1 - self.highest_acked) >= 1.0:  # flightsize
+            if gap is None:
+                gap = self.pacing_gap_us()
             if gap and now < self._next_send_at:
                 if not self._pacing_armed:
                     self._pacing_armed = True
-                    self.engine.schedule(
-                        self._next_send_at, EventKind.PACING_TIMER, self.flow_id
-                    )
+                    self.engine.schedule(self._next_send_at, PACING_TIMER, self.flow_id)
                 return
             self._transmit(self.next_seq, now)
             self.next_seq += 1
@@ -165,9 +163,9 @@ class SenderBase:
         self._send_times[seq] = now
         if retransmission:
             self.retransmits += 1
+        # positional, as in Receiver.on_data: not an ack, so ack_of_seq and delay are 0
         self.link.enqueue(
-            Packet(self.flow_id, seq, self.packet_bytes, now, is_retransmission=retransmission)
-        )
+            Packet(self.flow_id, seq, self.packet_bytes, now, False, 0, 0, retransmission))
 
     # -- receiving ---------------------------------------------------------
 
@@ -175,9 +173,10 @@ class SenderBase:
         acked = ack.ack_of_seq
         if acked > self.highest_acked:
             newly = acked - self.highest_acked
+            send_times = self._send_times
             for s in range(self.highest_acked + 1, acked):
-                self._send_times.pop(s, None)
-            sent_at = self._send_times.pop(acked)
+                send_times.pop(s, None)
+            sent_at = send_times.pop(acked)
             self.highest_acked = acked
             self.dupacks = 0
             self._last_progress_at = now

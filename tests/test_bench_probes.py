@@ -7,6 +7,11 @@ in a fresh interpreter and must report no missing target.
 bench/one_pass.py shortens the smoke runs by replacing `cli.load_scenario`
 and `harness.table1_cells`. Those only take effect while the program looks
 the names up there, so the cut is checked on what actually runs.
+
+A wrapped name must also stay on the path the simulator runs: a span that is
+installed but never entered (say, after `AckPath.send` is inlined into its
+caller) makes the per-layer metric read 0 on working code. The third test is
+`bench/run.py --smoke`'s `never_called` check, on shortened runs.
 """
 
 import os
@@ -56,6 +61,25 @@ harness.run_table1(1, 0, cells=["tl-c2-b10-dt2-noss"])
 assert [s.duration_s for s in batches[0]] == [15.0], batches
 """
 
+EVERY_SPAN_IS_ENTERED = """
+import tempfile
+import layers
+import one_pass
+from ledbatsim import cli, harness
+
+spans = layers.Spans()
+assert spans.install() == []
+# past fig3-bottom's second start at 10 s, which a shorter run may not cut off
+one_pass.cut_durations(cli, harness, 11.0)
+entry = spans.wrap("cli.main", cli.main)
+# --jobs 1: the grid's spans must land in this process
+for argv in (["run", "--preset", "fig2a"], ["run", "--preset", "fig3-bottom"],
+             ["table1", "--cells=tl-c2-b10-dt2-ss", "--runs", "1", "--jobs", "1"]):
+    with tempfile.TemporaryDirectory() as out:
+        assert entry(argv + ["--out", out]) == 0, argv
+assert spans.never_called() == [], spans.never_called()
+"""
+
 
 def _run_in_bench_env(script):
     env = dict(os.environ)
@@ -71,4 +95,9 @@ def test_bench_probes_find_every_target():
 
 def test_smoke_cut_reaches_every_run():
     proc = _run_in_bench_env(CUT_REACHES_THE_RUNS)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_bench_span_is_entered():
+    proc = _run_in_bench_env(EVERY_SPAN_IS_ENTERED)
     assert proc.returncode == 0, proc.stderr

@@ -99,10 +99,14 @@ def test_run_unknown_preset_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_run_bad_sample_period_exits_2(tmp_path, scn_file, capsys):
-    rc = cli.main(["run", "--scenario", str(scn_file), "--out", str(tmp_path),
-                   "--sample-ms", "0"])
+@pytest.mark.parametrize("sample_ms", ["0", "nan", "inf", "16000"])
+def test_run_bad_sample_period_exits_2(tmp_path, scn_file, capsys, sample_ms):
+    # 16000 ms is longer than the 15 s run, which would then hold one sample
+    rc = cli.main(["run", "--scenario", str(scn_file), "--out", str(tmp_path / "o"),
+                   "--sample-ms", sample_ms])
     assert rc == 2
+    assert "--sample-ms" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [scn_file]  # nothing written
 
 
 SUB_US_TARGET = TINY_SCENARIO + "target_ms = 0.0004\n"  # rounds to 0 us
@@ -140,6 +144,20 @@ def test_table1_has_no_sample_period(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table1", "--sample-ms", "250", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--jobs", "0"],
+    ["check", "--jobs", "0"],
+    ["table1", "--runs", "0"],
+    ["check", "--runs", "0"],
+])
+def test_fewer_than_one_job_or_run_is_a_usage_error(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + (["--out", str(tmp_path / "o")] if argv[0] == "table1" else []))
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

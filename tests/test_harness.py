@@ -109,6 +109,8 @@ def test_run_table_rejects_empty_selection_and_bad_runs():
         run_table1(1, base_seed=0, cells=["no-such-cell"])
     with pytest.raises(UsageError, match="at least 1"):
         run_table1(0, base_seed=0)
+    with pytest.raises(UsageError, match="at least 1"):
+        run_table1(1, base_seed=0, jobs=0)
 
 
 # -- starvation windows -----------------------------------------------------------

@@ -233,3 +233,46 @@ def test_gap_blocked_sender_arms_one_pacing_timer_at_a_time():
     tx.try_send(1000)
     assert [p.seq for p in link.sent] == [1, 2]
     assert eng.scheduled == [(1000, EventKind.PACING_TIMER), (2000, EventKind.PACING_TIMER)]
+
+
+class _GapReads(_Recorder):
+    """Fixed window and gap; records how often each try_send call reads the gap."""
+
+    def __init__(self, engine, link, cwnd, gap):
+        super().__init__(engine, link, cwnd)
+        self.gap = gap
+        self.reads_per_call = []
+
+    def pacing_gap_us(self):
+        self.reads_per_call[-1] += 1
+        return self.gap
+
+    def try_send(self, now):
+        self.reads_per_call.append(0)
+        super().try_send(now)
+
+
+def test_one_try_send_reads_the_pacing_gap_at_most_once():
+    # the sequence of test_gap_blocked_sender_arms_one_pacing_timer_at_a_time
+    eng = _ArmLog()
+    link = _FakeLink()
+    tx = _GapReads(eng, link, cwnd=4.0, gap=1000)
+    eng.register(EventKind.PACING_TIMER, lambda _fid: tx.on_pacing_timer(eng.now))
+    tx.start(0)
+    for _ in range(3):
+        tx.try_send(0)
+    eng.run(until=1000)
+    tx.try_send(1000)
+    assert [(p.seq, p.sent_at_sender_clock) for p in link.sent] == [(1, 0), (2, 1000)]
+    assert eng.scheduled == [(1000, EventKind.PACING_TIMER), (2000, EventKind.PACING_TIMER)]
+    assert tx.reads_per_call == [1] * 6
+
+
+def test_batch_sender_reads_the_gap_once_for_a_whole_window():
+    eng = Engine()
+    link = _FakeLink()
+    tx = _GapReads(eng, link, cwnd=4.0, gap=0)
+    tx.start(0)
+    tx.try_send(0)  # the window is full: no send, no read
+    assert [p.seq for p in link.sent] == [1, 2, 3, 4]
+    assert tx.reads_per_call == [1, 0]
