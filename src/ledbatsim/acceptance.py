@@ -209,9 +209,10 @@ def _criterion_6b():
             and r.trace.halvings == baseline.trace.halvings
             and r.trace.queuing_est_us[1] == baseline.trace.queuing_est_us[1]
         )
-        shifted = all(
-            b is None and a is None or (a is not None and b is not None and b == a + off)
-            for a, b in zip(baseline.trace.base_delay_us[1], r.trace.base_delay_us[1])
+        base0, base = baseline.trace.base_delay_us[1], r.trace.base_delay_us[1]
+        shifted = (  # both runs have the same ticks, by queue_pkts above
+            r.trace.first_tick(base) == baseline.trace.first_tick(base0)
+            and all(b == a + off for a, b in zip(base0, base))
         )
         if not (same and shifted):
             bad.append(off)

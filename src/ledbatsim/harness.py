@@ -10,13 +10,14 @@ processing, so identical inputs give bit-identical traces.
 import bisect
 import contextlib
 import gc
+from array import array
 from dataclasses import dataclass
 
 from .engine import Engine, EventKind
 from .ledbat import LedbatFlow
 from .metrics import MetricsReport, aggregate_runs, compute_report
 from .network import AckPath, Bottleneck, service_time_us
-from .scenario import Scenario, UsageError, resolve_starts, rng_for_run, table1_cells
+from .scenario import Scenario, UsageError, check_seed, resolve_starts, table1_cells
 from .tcp import TcpFlow
 from .transport import Receiver
 
@@ -32,29 +33,38 @@ STARVATION_THRESHOLD = 0.05  # of the fair share
 class TraceSet:
     """Columnar per-run trace: fixed-cadence samples plus event rows.
 
-    Sampled series (aligned lists, one entry per tick): link queue occupancy
-    and cumulative counters, and per flow the window, the delay estimates,
-    and cumulative delivered bytes. Event rows: drops (exact times) and window
-    halvings. Safety timeouts are in RunResult.flow_stats.
+    Sampled series are 8-byte typed arrays, `array("q")` of ints except the
+    window, `array("d")`. One entry per tick: the tick times, link queue
+    occupancy and cumulative counters, and per flow the window and the
+    cumulative delivered bytes. The delay estimates exist only for the flows
+    in `delay_flow_ids` (the LEDBAT flows), and each covers the trace's last
+    len(series) ticks, from `first_tick(series)` on: `queuing_est_us` every
+    tick, `base_delay_us` the ticks after the flow's first delay sample.
+    Event rows: drops (exact times) and window halvings. Safety timeouts are
+    in RunResult.flow_stats.
     """
 
-    def __init__(self, flow_ids, capacity_bps, duration_us):
+    def __init__(self, flow_ids, capacity_bps, duration_us, delay_flow_ids=()):
         self.flow_ids = list(flow_ids)
         self.capacity_bps = capacity_bps
         self.duration_us = duration_us
 
-        self.sample_t_us: list[int] = []
-        self.queue_pkts: list[int] = []
-        self.link_offered: list[int] = []
-        self.link_dropped: list[int] = []
-        self.cwnd_pkts = {fid: [] for fid in self.flow_ids}
-        self.base_delay_us = {fid: [] for fid in self.flow_ids}
-        self.queuing_est_us = {fid: [] for fid in self.flow_ids}
-        self.delivered_bytes = {fid: [] for fid in self.flow_ids}
+        self.sample_t_us = array("q")
+        self.queue_pkts = array("q")
+        self.link_offered = array("q")
+        self.link_dropped = array("q")
+        self.cwnd_pkts = {fid: array("d") for fid in self.flow_ids}
+        self.base_delay_us = {fid: array("q") for fid in delay_flow_ids}
+        self.queuing_est_us = {fid: array("q") for fid in delay_flow_ids}
+        self.delivered_bytes = {fid: array("q") for fid in self.flow_ids}
 
         self.drops: list[tuple[int, int, int]] = []  # (t_us, flow_id, seq)
         self.halvings = {fid: [] for fid in self.flow_ids}  # (t_us, cwnd_after, rtt_gate)
         self.conservation_ok = True
+
+    def first_tick(self, series) -> int:
+        """Index of the tick a delay series starts at (the tick count if it is empty)."""
+        return len(self.sample_t_us) - len(series)
 
     def _sample_index_at(self, t_us: int) -> int:
         i = bisect.bisect_right(self.sample_t_us, t_us) - 1
@@ -120,13 +130,29 @@ class _Simulation:
                 sender_cls(self.engine, fid, self.link, scenario.packet_bytes, spec))
             self.receivers.append(Receiver(fid, spec.clock_offset_us))
 
-        tr = self.trace = TraceSet(
-            range(len(self.senders)), scenario.capacity_bps, self.duration_us)
-        # what each tick appends to, per flow: the delay series only for ledbat
-        self._flow_series = [
-            (s, tr.cwnd_pkts[s.flow_id], tr.delivered_bytes[s.flow_id],
-             tr.base_delay_us[s.flow_id], tr.queuing_est_us[s.flow_id], s.kind == "ledbat")
+        ledbats = [s for s in self.senders if s.kind == "ledbat"]
+        tr = self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps,
+                                   self.duration_us, [s.flow_id for s in ledbats])
+        # Tick k falls at k * sample_us, up to the end. So every series but
+        # the base delay gets its full length here, and tick k writes entry k
+        # through a memoryview: an item store there costs about half of an
+        # array append, which converts each value through PyArg_Parse.
+        zeros = bytes(8 * (self.duration_us // sample_us + 1))
+        self._views = []  # released after the run, so that the series can grow again
+
+        def view(series):
+            series.frombytes(zeros)
+            self._views.append(memoryview(series))
+            return self._views[-1]
+
+        self._link_views = (view(tr.sample_t_us), view(tr.queue_pkts), view(tr.link_offered),
+                            view(tr.link_dropped))
+        self._flow_views = [
+            (s, view(tr.cwnd_pkts[s.flow_id]), view(tr.delivered_bytes[s.flow_id]))
             for s in self.senders]
+        self._delay_views = [
+            (s, tr.base_delay_us[s.flow_id].append, view(tr.queuing_est_us[s.flow_id]))
+            for s in ledbats]
 
         eng = self.engine
         eng.register(EventKind.PACKET_ARRIVAL, self._on_arrival)
@@ -149,39 +175,40 @@ class _Simulation:
     def _on_flow_start(self, fid) -> None:
         self.senders[fid].start(self.engine.now)
 
-    def _on_sample(self, _payload) -> None:
+    def _on_sample(self, k) -> None:
         now = self.engine.now
-        tr = self.trace
         link = self.link
-        tr.sample_t_us.append(now)
-        tr.queue_pkts.append(len(link.queue))
-        tr.link_offered.append(link.offered)
-        tr.link_dropped.append(len(link.drops))
+        times, queue, offered, dropped = self._link_views
+        times[k] = now
+        queue[k] = len(link.queue)
+        offered[k] = link.offered
+        dropped[k] = len(link.drops)
         bytes_by_flow = link.bytes_by_flow
-        for s, cwnd, delivered, base, qest, is_ledbat in self._flow_series:
-            cwnd.append(s.cwnd)
-            delivered.append(bytes_by_flow.get(s.flow_id, 0))
-            if is_ledbat:
-                base.append(s.base_delay_us)
-                qest.append(s.queuing_delay_est_us())
-            else:
-                base.append(None)
-                qest.append(None)
+        for s, cwnd, delivered in self._flow_views:
+            cwnd[k] = s.cwnd
+            delivered[k] = bytes_by_flow.get(s.flow_id, 0)
+        for s, store_base, qest in self._delay_views:
+            base = s.base_delay_us
+            if base is not None:  # once set by the first delay sample, it stays set
+                store_base(base)
+            qest[k] = s.queuing_delay_est_us()
         if not link.conservation_ok():
-            tr.conservation_ok = False
+            self.trace.conservation_ok = False
             raise RuntimeError(f"packet conservation violated at t={now}")
         for s in self.senders:
             s.check_timeout(now)
         nxt = now + self.sample_us
         if nxt <= self.duration_us:
-            self.engine.schedule(nxt, EventKind.STATS_SAMPLE)
+            self.engine.schedule(nxt, EventKind.STATS_SAMPLE, k + 1)
 
     def run(self) -> None:
-        self.engine.schedule(0, EventKind.STATS_SAMPLE)
+        self.engine.schedule(0, EventKind.STATS_SAMPLE, 0)  # the payload is the tick index
         for fid, spec in enumerate(self.scenario.flows):
             self.engine.schedule(int(round(spec.start_s * 1_000_000)), EventKind.FLOW_START, fid)
         self.engine.schedule(self.duration_us, EventKind.SIM_END)
         self.engine.run(self.duration_us)
+        for v in self._views:
+            v.release()
         self.trace.drops = self.link.drops
         for s in self.senders:
             self.trace.halvings[s.flow_id] = list(s.halvings)
@@ -195,7 +222,7 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US) -> RunR
     give bit-identical traces and metrics.
     """
     scenario.validate()
-    resolved = resolve_starts(scenario, rng_for_run(scenario.seed, 0, 0))
+    resolved = resolve_starts(scenario, scenario.seed, 0, 0)
     sim = _Simulation(resolved, sample_us)
     sim.run()
     t0 = resolved.flows[1].start_s if len(resolved.flows) > 1 else 0.0
@@ -321,6 +348,7 @@ def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
     name without disturbing per-cell seeding."""
     if runs_per_cell < 1 or jobs < 1:
         raise UsageError("runs_per_cell and jobs must each be at least 1")
+    check_seed(base_seed)
     grid = table1_cells()
     work = []  # (cell index, concrete run scenario)
     selected = []
@@ -329,7 +357,7 @@ def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
             continue
         selected.append((ci, scn))
         for ri in range(runs_per_cell):
-            work.append((ci, resolve_starts(scn, rng_for_run(base_seed, ci, ri))))
+            work.append((ci, resolve_starts(scn, base_seed, ci, ri)))
     if not selected:
         raise UsageError("cell filter selected nothing")
 
@@ -360,9 +388,12 @@ def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
 
 
 def _run_batch(scenarios: list[Scenario], jobs: int, progress=None):
-    """Ordered map over runs; fold order is by input index however many workers."""
+    """Ordered map over runs; fold order is by input index however many workers.
+    A pool starts all its workers at the first submit, so it gets no more
+    workers than there are runs, and one run or job runs in this process."""
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+    workers = min(jobs, len(scenarios))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         out = []
         for res in (pool.map if pool else map)(_batch_worker, scenarios):
             out.append(res)
@@ -394,6 +425,14 @@ def write_trace_csv(trace: TraceSet, path: str) -> None:
         for fid in trace.flow_ids for t, cwnd_after, _ in trace.halvings[fid]]
     events.sort(key=lambda e: e[0])
 
+    # a loss-based flow has empty delay series, which start after the last tick
+    flows = []
+    for fid in trace.flow_ids:
+        base = trace.base_delay_us.get(fid, ())
+        qest = trace.queuing_est_us.get(fid, ())
+        flows.append((fid, trace.cwnd_pkts[fid], base, trace.first_tick(base),
+                      qest, trace.first_tick(qest), trace.delivered_bytes[fid]))
+
     def lines():
         k = 0
         for i, t in enumerate(trace.sample_t_us):
@@ -401,15 +440,13 @@ def write_trace_csv(trace: TraceSet, path: str) -> None:
                 yield events[k][1]
                 k += 1
             yield f"{t},link,queue_pkts,{trace.queue_pkts[i]}"
-            for fid in trace.flow_ids:
-                yield f"{t},{fid},cwnd_pkts,{trace.cwnd_pkts[fid][i]}"
-                base = trace.base_delay_us[fid][i]
-                if base is not None:
-                    yield f"{t},{fid},base_delay_us,{base}"
-                qest = trace.queuing_est_us[fid][i]
-                if qest is not None:
-                    yield f"{t},{fid},queuing_est_us,{qest}"
-                yield f"{t},{fid},delivery,{trace.delivered_bytes[fid][i]}"
+            for fid, cwnd, base, i_base, qest, i_qest, delivered in flows:
+                yield f"{t},{fid},cwnd_pkts,{cwnd[i]}"
+                if i >= i_base:
+                    yield f"{t},{fid},base_delay_us,{base[i - i_base]}"
+                if i >= i_qest:
+                    yield f"{t},{fid},queuing_est_us,{qest[i - i_qest]}"
+                yield f"{t},{fid},delivery,{delivered[i]}"
         for _, line in events[k:]:
             yield line
 

@@ -227,10 +227,12 @@ class SenderBase:
 
     def check_timeout(self, now: int) -> None:
         """Coarse deadlock escape, polled on the periodic stats tick."""
-        if self.flightsize == 0:
+        # polled for every flow at every tick: the flight size and the max
+        # are written out, as the property and the builtin call cost more
+        if self.next_seq - 1 == self.highest_acked:  # nothing in flight
             return
-        deadline = self._last_progress_at + max(2 * self.max_rtt_us, MIN_TIMEOUT_US)
-        if now >= deadline:
+        wait = 2 * self.max_rtt_us
+        if now >= self._last_progress_at + (wait if wait > MIN_TIMEOUT_US else MIN_TIMEOUT_US):
             self.timeouts.append(now)
             self._last_progress_at = now
             self._enter_recovery(now)

@@ -12,6 +12,11 @@ A wrapped name must also stay on the path the simulator runs: a span that is
 installed but never entered (say, after `AckPath.send` is inlined into its
 caller) makes the per-layer metric read 0 on working code. The third test is
 `bench/run.py --smoke`'s `never_called` check, on shortened runs.
+
+Every timed pass reads its end-to-end numbers through `layers.RunProbe`, so
+the last test runs that probe end to end: it must see the set-up end, the
+simulated seconds of each run, and the conservation flag it reads from the
+trace and the check facts.
 """
 
 import os
@@ -100,4 +105,30 @@ def test_smoke_cut_reaches_every_run():
 
 def test_every_bench_span_is_entered():
     proc = _run_in_bench_env(EVERY_SPAN_IS_ENTERED)
+    assert proc.returncode == 0, proc.stderr
+
+
+RUN_PROBE_SEES_EACH_RUN = """
+import tempfile
+import layers
+import one_pass
+from ledbatsim import cli, harness
+
+probe = layers.RunProbe()
+probe.install()
+one_pass.cut_durations(cli, harness, 11.0)
+# --jobs 1: the grid's run must land in this process
+for argv in (["run", "--preset", "fig2a"],
+             ["table1", "--cells=tl-c2-b10-dt2-ss", "--runs", "1", "--jobs", "1"]):
+    sim_s = probe.sim_s
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.main(argv + ["--out", out]) == 0, argv
+    assert probe.sim_s - sim_s == 11.0, (argv, probe.sim_s)
+    assert probe.setup_end is not None, argv
+    assert probe.conservation_ok is True, argv
+"""
+
+
+def test_run_probe_times_each_run():
+    proc = _run_in_bench_env(RUN_PROBE_SEES_EACH_RUN)
     assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,13 @@
 """Command-line surface: outputs, exit codes, overwrite behavior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from ledbatsim import cli
+from ledbatsim import cli, harness
 
 TINY_SCENARIO = """\
 ledbatsim-scenario v1
@@ -138,6 +143,44 @@ def test_run_rejects_scenario_the_run_cannot_use(tmp_path, capsys, text, seed):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.rglob("*")) == [p]  # nothing written, inside --out or beside it
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--seed", "-1"],
+    ["table1", "--seed", str(2**64)],
+    ["run", "--preset", "fig2a", "--seed", "-1"],
+    ["run", "--preset", "fig2a", "--seed", str(2**64)],
+], ids=["table1-negative", "table1-2**64", "run-negative", "run-2**64"])
+def test_seed_outside_64_bits_exits_2_before_any_run(tmp_path, monkeypatch, capsys, argv):
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "_run_batch", no_run)
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "seed must be within [0, 2**64)" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+FIXED_START_RUN = """
+import sys
+from ledbatsim import cli
+assert cli.main(sys.argv[1:]) == 0
+loaded = sorted(m for m in ("numpy", "numpy.random") if m in sys.modules)
+assert loaded == [], loaded
+"""
+
+
+def test_fixed_start_run_never_imports_numpy(tmp_path, scn_file):
+    # in a fresh interpreter: this one has loaded numpy for other tests
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", FIXED_START_RUN, "run", "--scenario", str(scn_file),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "cli-probe-trace.csv").exists()
 
 
 def test_table1_has_no_sample_period(tmp_path, capsys):

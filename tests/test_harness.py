@@ -1,7 +1,9 @@
 """Run orchestration, batch runs, starvation windows, trace output."""
 
+import concurrent.futures
 import gc
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from ledbatsim.harness import (
     TraceSet,
     _batch_worker,
+    _run_batch,
     _Simulation,
     detect_starvation,
     run_scenario,
@@ -51,6 +54,36 @@ def test_run_scenario_trace_shape_and_conservation():
     assert tr.conservation_ok
     assert res.metrics.eta_percent > 50.0  # both flows actually moved data
     assert len(res.flow_stats) == 2
+
+
+def test_sampled_series_are_typed_arrays_and_delay_series_are_ledbat_only():
+    scn = _tiny(duration_s=5.0, flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=2.0)])
+    tr = run_scenario(scn, sample_us=100_000).trace
+    n = len(tr.sample_t_us)
+    assert n == 51
+    # "q" and "d" are 8-byte ints and floats
+    for series in (tr.sample_t_us, tr.queue_pkts, tr.link_offered, tr.link_dropped,
+                   *tr.delivered_bytes.values()):
+        assert isinstance(series, array) and series.typecode == "q" and len(series) == n
+    for series in tr.cwnd_pkts.values():
+        assert isinstance(series, array) and series.typecode == "d" and len(series) == n
+    assert set(tr.base_delay_us) == set(tr.queuing_est_us) == {1}
+    base, qest = tr.base_delay_us[1], tr.queuing_est_us[1]
+    assert base.typecode == qest.typecode == "q"
+    assert tr.first_tick(qest) == 0 and len(qest) == n
+    # the first ack returns one RTT (50 ms) after the 2 s start: base delays
+    # start at the next tick, and the queuing estimate reads 0 until then
+    i0 = tr.first_tick(base)
+    assert tr.sample_t_us[i0] == 2_100_000 and len(base) == n - i0
+    assert set(qest[:i0]) == {0}
+    assert min(base) > 0
+    tr.queue_pkts.append(0)  # the run let go of its views: a series can grow again
+
+
+def test_largest_valid_clock_offset_fits_the_trace():
+    flows = [FlowSpec("ledbat", clock_offset_us=2**62), FlowSpec("ledbat", clock_offset_us=-2**62)]
+    tr = run_scenario(_tiny(duration_s=1.0, flows=flows)).trace
+    assert min(tr.base_delay_us[0]) > 2**62 and max(tr.base_delay_us[1]) < -2**62 + S
 
 
 def test_run_scenario_is_deterministic():
@@ -102,6 +135,34 @@ def test_batch_worker_frees_its_run():
         assert not any(isinstance(o, _Simulation) for o in gc.get_objects())
     finally:
         gc.enable()
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: maps in this process, records its size."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs,runs,pool_size", [
+    (64, 1, None), (64, 3, 3), (2, 3, 2), (1, 3, None),
+])
+def test_batch_pool_has_no_more_workers_than_runs(monkeypatch, jobs, runs, pool_size):
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _InProcessPool(sizes, max_workers))
+    out = _run_batch([_tiny(duration_s=1.0)] * runs, jobs)
+    assert len(out) == runs
+    assert sizes == ([] if pool_size is None else [pool_size])
 
 
 def test_run_table_rejects_empty_selection_and_bad_runs():
@@ -174,16 +235,16 @@ def test_starvation_requires_a_thriving_competitor():
 
 
 def test_trace_rows_at_equal_times(tmp_path):
-    # ticks at 0, 10 and 20 us; flow 0 loss-based (no delay series)
-    tr = TraceSet([0, 1], 10_000_000, 20)
+    # ticks at 0, 10 and 20 us; flow 0 loss-based (no delay series), flow 1
+    # delay-based with its first base delay at the second tick
+    tr = TraceSet([0, 1], 10_000_000, 20, delay_flow_ids=[1])
     for i, t in enumerate((0, 10, 20)):
         tr.sample_t_us.append(t)
         tr.queue_pkts.append(i)
         tr.cwnd_pkts[0].append(2.0 + i)
-        tr.cwnd_pkts[1].append(3)
-        tr.base_delay_us[0].append(None)
-        tr.queuing_est_us[0].append(None)
-        tr.base_delay_us[1].append(50 + i)
+        tr.cwnd_pkts[1].append(3.0)
+        if i > 0:
+            tr.base_delay_us[1].append(50 + i)
         tr.queuing_est_us[1].append(i)
         tr.delivered_bytes[0].append(100 * i)
         tr.delivered_bytes[1].append(10 * i)
@@ -197,14 +258,13 @@ def test_trace_rows_at_equal_times(tmp_path):
         "0,link,queue_pkts,0\n"
         "0,0,cwnd_pkts,2.0\n"
         "0,0,delivery,0\n"
-        "0,1,cwnd_pkts,3\n"
-        "0,1,base_delay_us,50\n"
+        "0,1,cwnd_pkts,3.0\n"
         "0,1,queuing_est_us,0\n"
         "0,1,delivery,0\n"
         "10,link,queue_pkts,1\n"
         "10,0,cwnd_pkts,3.0\n"
         "10,0,delivery,100\n"
-        "10,1,cwnd_pkts,3\n"
+        "10,1,cwnd_pkts,3.0\n"
         "10,1,base_delay_us,51\n"
         "10,1,queuing_est_us,1\n"
         "10,1,delivery,10\n"
@@ -214,7 +274,7 @@ def test_trace_rows_at_equal_times(tmp_path):
         "20,link,queue_pkts,2\n"
         "20,0,cwnd_pkts,4.0\n"
         "20,0,delivery,200\n"
-        "20,1,cwnd_pkts,3\n"
+        "20,1,cwnd_pkts,3.0\n"
         "20,1,base_delay_us,52\n"
         "20,1,queuing_est_us,2\n"
         "20,1,delivery,20\n"

@@ -22,6 +22,13 @@ LINK_SERIES = ("sample_t_us", "queue_pkts", "link_offered", "link_dropped")
 FLOW_SERIES = ("cwnd_pkts", "base_delay_us", "queuing_est_us", "delivered_bytes")
 
 
+def _per_tick(trace, name):
+    """A per-flow series by flow id, one entry per tick: None before a delay
+    series' first tick, and no entry for a flow that lacks the series."""
+    return {fid: [None] * trace.first_tick(series) + list(series)
+            for fid, series in getattr(trace, name).items()}
+
+
 @pytest.mark.parametrize("preset", ["fig2a", "fig3-mid", "table1-tl-c2-b10-dtu-noss"])
 def test_a_short_run_is_the_prefix_of_a_longer_one(preset):
     short = run_scenario(replace(get_preset(preset), duration_s=30.0))
@@ -32,8 +39,10 @@ def test_a_short_run_is_the_prefix_of_a_longer_one(preset):
     for name in LINK_SERIES:
         assert getattr(a, name) == getattr(b, name)[:n], name
     for name in FLOW_SERIES:
-        for fid in a.flow_ids:
-            assert getattr(a, name)[fid] == getattr(b, name)[fid][:n], (name, fid)
+        a_series, b_series = _per_tick(a, name), _per_tick(b, name)
+        assert a_series.keys() == b_series.keys(), name
+        for fid, series in a_series.items():
+            assert series == b_series[fid][:n], (name, fid)
     assert a.drops == [d for d in b.drops if d[0] <= 30 * S]
     assert a.drops  # the cut keeps some loss to compare
     for fid in a.flow_ids:
@@ -49,8 +58,8 @@ def test_reversing_the_flow_list_mirrors_a_late_start_pair(preset):
     for name in LINK_SERIES:
         assert getattr(rev, name) == getattr(fwd, name), name
     for name in FLOW_SERIES:
-        for fid in fwd.flow_ids:
-            assert getattr(rev, name)[fid] == getattr(fwd, name)[last - fid], (name, fid)
+        mirrored = {last - fid: series for fid, series in _per_tick(fwd, name).items()}
+        assert _per_tick(rev, name) == mirrored, name
     assert rev.drops == [(t, last - fid, seq) for t, fid, seq in fwd.drops]
     assert {last - fid: h for fid, h in fwd.halvings.items()} == rev.halvings
 

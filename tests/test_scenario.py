@@ -1,8 +1,11 @@
 """Scenario model and bounds, start resolution, presets, scenario files."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ledbatsim import scenario
 from ledbatsim.scenario import (
     ParseError,
     Scenario,
@@ -45,7 +48,8 @@ def test_validate_passes_sane_scenario():
     (dict(duration_s=0.0), "duration"),
     (dict(delta_t_mode="gaussian"), "delta_t_mode"),
     (dict(start_jitter_s=-1.0), "jitter"),
-    (dict(seed=-1), "seed"),
+    (dict(seed=-1), r"seed must be within \[0, 2\*\*64\)"),
+    (dict(seed=2**64), r"seed must be within \[0, 2\*\*64\)"),
     # the latest second-flow start the seed can draw must fall before the end
     (dict(delta_t_mode="uniform", duration_s=10.0), "second flow may start at 10 s"),
     (dict(flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=19.95)], start_jitter_s=0.1),
@@ -82,6 +86,8 @@ def test_validate_rejects_bad_top_level(patch, fragment):
     (FlowSpec("ledbat", base_histo_min=11), "base_histo_min"),
     (FlowSpec("ledbat", target_ms=float("nan")), "flow 0: target_ms must be a finite number"),
     (FlowSpec("ledbat", target_ms=float("inf")), "flow 0: target_ms must be a finite number"),
+    (FlowSpec("ledbat", clock_offset_us=2**62 + 1), "clock_offset_us"),
+    (FlowSpec("ledbat", clock_offset_us=-2**62 - 1), "clock_offset_us"),
 ])
 def test_validate_rejects_bad_flow(flow, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -146,11 +152,10 @@ def test_rng_split_is_stable_and_disjoint():
 
 def test_uniform_mode_draws_second_start():
     scn = _tiny(duration_s=60.0, delta_t_mode="uniform")
-    draws = [resolve_starts(scn, rng_for_run(0, 0, i)).flows[1].start_s
-             for i in range(10_000)]
+    draws = [resolve_starts(scn, 0, 0, i).flows[1].start_s for i in range(10_000)]
     assert all(0.0 <= d < 10.0 for d in draws)
     assert abs(float(np.mean(draws)) - 5.0) < 0.15
-    resolved = resolve_starts(scn, rng_for_run(0, 0, 0))
+    resolved = resolve_starts(scn, 0, 0, 0)
     assert resolved.delta_t_mode == "fixed"  # a resolved scenario re-runs as-is
     assert resolved.flows[0].start_s == 0.0
 
@@ -159,17 +164,36 @@ def test_fixed_mode_jitters_around_the_offset():
     scn = _tiny(duration_s=60.0,
                 flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=10.0)],
                 start_jitter_s=0.1)
-    starts = [resolve_starts(scn, rng_for_run(0, 0, i)).flows[1].start_s
-              for i in range(200)]
+    starts = [resolve_starts(scn, 0, 0, i).flows[1].start_s for i in range(200)]
     assert all(10.0 <= s < 10.1 for s in starts)
     assert len(set(starts)) > 100  # actually random
 
 
 def test_cell_run_starts_are_deterministic():
     scn = table1_cells()[4]  # a dt=U(0,10) cell
-    a = resolve_starts(scn, rng_for_run(7, 4, 2))
-    b = resolve_starts(scn, rng_for_run(7, 4, 2))
+    a = resolve_starts(scn, 7, 4, 2)
+    b = resolve_starts(scn, 7, 4, 2)
     assert a.flows[1].start_s == b.flows[1].start_s
+    # pinned: the exact start that rng_for_run(7, 4, 2) draws
+    assert a.flows[1].start_s == 7.724929607883628
+
+
+def test_only_a_scenario_that_draws_builds_a_generator(monkeypatch):
+    built = []
+
+    def recording(*key):
+        built.append(key)
+        return rng_for_run(*key)
+
+    monkeypatch.setattr(scenario, "rng_for_run", recording)
+    fixed = _tiny(flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=2.0)])
+    assert resolve_starts(fixed, 0, 0, 0) == fixed
+    assert resolve_starts(replace(fixed, flows=fixed.flows[:1], delta_t_mode="uniform"),
+                          0, 0, 0).flows == fixed.flows[:1]
+    assert built == []
+    resolve_starts(replace(fixed, start_jitter_s=0.1), 0, 1, 2)
+    resolve_starts(replace(fixed, delta_t_mode="uniform"), 3, 4, 5)
+    assert built == [(0, 1, 2), (3, 4, 5)]
 
 
 # -- scenario files --------------------------------------------------------------
