@@ -23,6 +23,7 @@ from .harness import (
     DEFAULT_SAMPLE_US,
     run_scenario,
     run_table1,
+    select_table1_cells,
     write_summary_csv,
     write_table_csv,
     write_trace_csv,
@@ -104,10 +105,11 @@ def cmd_fig3(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    out_dir = _out_dir(args)
-    (table_path,) = _prepare_paths(out_dir, ["table1.csv"], args.force)
+    cells = args.cells or None
+    select_table1_cells(args.seed, cells)  # its usage errors come before any write
+    (table_path,) = _prepare_paths(_out_dir(args), ["table1.csv"], args.force)
     summaries, _ = run_table1(
-        args.runs, args.seed, jobs=args.jobs, cells=args.cells or None,
+        args.runs, args.seed, jobs=args.jobs, cells=cells,
         progress=(lambda done, total: print(f"  {done}/{total} runs")) if args.verbose else None,
     )
     write_table_csv(summaries, table_path)

@@ -58,7 +58,12 @@ class Engine:
         """
         heap = self._heap
         handlers = self._handlers
-        while heap and heap[0][0] <= until:
-            fire_at, _, kind, payload = heappop(heap)
+        # pop before the time test, so that each dispatch indexes the heap
+        # once; the first event past `until` goes back unchanged
+        while heap:
+            fire_at, seq, kind, payload = heappop(heap)
+            if fire_at > until:
+                heappush(heap, (fire_at, seq, kind, payload))
+                return
             self.now = fire_at
             handlers[kind](payload)

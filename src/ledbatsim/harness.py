@@ -24,6 +24,7 @@ from .transport import Receiver
 DEFAULT_SAMPLE_US = 10_000
 STARVATION_WINDOW_S = 10.0
 STARVATION_THRESHOLD = 0.05  # of the fair share
+STATS_SAMPLE = EventKind.STATS_SAMPLE  # bound once, as in network.py
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,7 @@ class _Simulation:
         eng.register(EventKind.PACKET_ARRIVAL, self._on_arrival)
         eng.register(EventKind.PACING_TIMER, self._on_pacing_timer)
         eng.register(EventKind.FLOW_START, self._on_flow_start)
-        eng.register(EventKind.STATS_SAMPLE, self._on_sample)
+        eng.register(STATS_SAMPLE, self._on_sample)
         eng.register(EventKind.SIM_END, lambda _payload: None)
 
     def _on_arrival(self, pkt) -> None:
@@ -169,8 +170,8 @@ class _Simulation:
             ack = self.receivers[pkt.flow_id].on_data(pkt, now)
             self.ack_path.send(ack)
 
-    def _on_pacing_timer(self, fid) -> None:
-        self.senders[fid].on_pacing_timer(self.engine.now)
+    def _on_pacing_timer(self, sender) -> None:  # the timer's payload is its sender
+        sender.on_pacing_timer(self.engine.now)
 
     def _on_flow_start(self, fid) -> None:
         self.senders[fid].start(self.engine.now)
@@ -191,7 +192,7 @@ class _Simulation:
             base = s.base_delay_us
             if base is not None:  # once set by the first delay sample, it stays set
                 store_base(base)
-            qest[k] = s.queuing_delay_est_us()
+            qest[k] = s.queuing_delay_est_us
         if not link.conservation_ok():
             self.trace.conservation_ok = False
             raise RuntimeError(f"packet conservation violated at t={now}")
@@ -199,10 +200,10 @@ class _Simulation:
             s.check_timeout(now)
         nxt = now + self.sample_us
         if nxt <= self.duration_us:
-            self.engine.schedule(nxt, EventKind.STATS_SAMPLE, k + 1)
+            self.engine.schedule(nxt, STATS_SAMPLE, k + 1)
 
     def run(self) -> None:
-        self.engine.schedule(0, EventKind.STATS_SAMPLE, 0)  # the payload is the tick index
+        self.engine.schedule(0, STATS_SAMPLE, 0)  # the payload is the tick index
         for fid, spec in enumerate(self.scenario.flows):
             self.engine.schedule(int(round(spec.start_s * 1_000_000)), EventKind.FLOW_START, fid)
         self.engine.schedule(self.duration_us, EventKind.SIM_END)
@@ -341,6 +342,18 @@ def _batch_worker(scenario: Scenario) -> tuple[MetricsReport, RunCheckFacts]:
     return result.metrics, extract_check_facts(result)
 
 
+def select_table1_cells(base_seed: int, cells=None) -> list[tuple[int, Scenario]]:
+    """The grid cells, with their grid index, whose name contains one of the
+    `cells` substrings (every cell when `cells` is empty). Raises UsageError
+    for a base seed out of range or a filter that selects nothing."""
+    check_seed(base_seed)
+    selected = [(ci, scn) for ci, scn in enumerate(table1_cells())
+                if not cells or any(sub in scn.name for sub in cells)]
+    if not selected:
+        raise UsageError("cell filter selected nothing")
+    return selected
+
+
 def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
                progress=None) -> tuple[list[CellSummary], list[RunCheckFacts]]:
     """Run the summary grid: both flow mixes on both links, three start
@@ -348,18 +361,9 @@ def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
     name without disturbing per-cell seeding."""
     if runs_per_cell < 1 or jobs < 1:
         raise UsageError("runs_per_cell and jobs must each be at least 1")
-    check_seed(base_seed)
-    grid = table1_cells()
-    work = []  # (cell index, concrete run scenario)
-    selected = []
-    for ci, scn in enumerate(grid):
-        if cells and not any(sub in scn.name for sub in cells):
-            continue
-        selected.append((ci, scn))
-        for ri in range(runs_per_cell):
-            work.append((ci, resolve_starts(scn, base_seed, ci, ri)))
-    if not selected:
-        raise UsageError("cell filter selected nothing")
+    selected = select_table1_cells(base_seed, cells)
+    work = [(ci, resolve_starts(scn, base_seed, ci, ri))  # (cell index, concrete run)
+            for ci, scn in selected for ri in range(runs_per_cell)]
 
     outputs = _run_batch([scn for _, scn in work], jobs, progress)
 

@@ -29,30 +29,44 @@ class BaseDelayHistory:
     """Per-minute minima of measured one-way delay; base = min across kept minutes.
 
     A fresh minute slot opens on rollover and the oldest falls out, so a stale
-    minimum expires after at most `minutes` minutes.
+    minimum expires after at most `minutes` minutes. The base is kept as a
+    running minimum: a sample inside the current minute can only lower it, so
+    the slots are scanned only when a minute rolls over.
     """
 
     def __init__(self, minutes: int):
         self.minutes = minutes
         self._slots: deque[int] = deque(maxlen=minutes)
         self._cur_slot: int | None = None
+        self._base: int | None = None  # min(self._slots)
 
     def update(self, measured_us: int, now_us: int) -> int:
         """Fold in one sample, return the current base delay."""
         slot = now_us // SLOT_US
+        if slot == self._cur_slot:
+            if measured_us < self._slots[-1]:
+                self._slots[-1] = measured_us
+                if measured_us < self._base:
+                    self._base = measured_us
+            return self._base
         if self._cur_slot is None:
             self._slots.append(measured_us)
-            self._cur_slot = slot
-        elif slot != self._cur_slot:
+        else:
             for _ in range(min(slot - self._cur_slot, self.minutes)):
                 self._slots.append(measured_us)
-            self._cur_slot = slot
-        elif measured_us < self._slots[-1]:
-            self._slots[-1] = measured_us
-        return min(self._slots)
+        self._cur_slot = slot
+        self._base = min(self._slots)
+        return self._base
 
 
 class LedbatFlow(SenderBase):
+    """The delay-based sender of the module docstring.
+
+    Each delay sample forms the queuing-delay estimate once and keeps it as
+    the attribute `queuing_delay_est_us`; the window law on each ack and the
+    sampling tick read it from there.
+    """
+
     kind = "ledbat"
 
     def __init__(
@@ -71,19 +85,18 @@ class LedbatFlow(SenderBase):
         self._gain_den = gain.denominator
         self.history = BaseDelayHistory(spec.base_histo_min)
         self.base_delay_us: int | None = None
-        self.current_delay_us: int | None = None
+        # measured - base as of the last delay sample; 0 before the first one
+        # and whenever the estimator is pinned
+        self.queuing_delay_est_us = 0
         self.ss_active = spec.slow_start
         self.ssthresh = math.inf
         self.max_update_ratio = 0.0  # largest gain*off_target seen, in packets
 
-    def queuing_delay_est_us(self) -> int:
-        if self.pin_zero_queuing_delay or self.base_delay_us is None:
-            return 0
-        return self.current_delay_us - self.base_delay_us
-
     def on_delay_sample(self, ack: Packet, now: int) -> None:
-        self.current_delay_us = ack.measured_delay_us
-        self.base_delay_us = self.history.update(ack.measured_delay_us, now)
+        measured = ack.measured_delay_us
+        base = self.base_delay_us = self.history.update(measured, now)
+        if not self.pin_zero_queuing_delay:
+            self.queuing_delay_est_us = measured - base
 
     def on_new_ack(self, ack: Packet, newly_acked: int, now: int) -> None:
         if self.ss_active:
@@ -91,7 +104,7 @@ class LedbatFlow(SenderBase):
             if self.cwnd > self.ssthresh:
                 self.ss_active = False
             return
-        off_target = self.target_us - self.queuing_delay_est_us()
+        off_target = self.target_us - self.queuing_delay_est_us
         ratio = (self._gain_num * off_target) / self._gain_den
         if ratio > self.max_update_ratio:
             self.max_update_ratio = ratio
@@ -112,4 +125,5 @@ class LedbatFlow(SenderBase):
     def pacing_gap_us(self) -> int:
         if not self.pacing or self.rtt_est_us is None:
             return 0
-        return max(1, int(round(self.rtt_est_us / self.cwnd)))
+        gap = round(self.rtt_est_us / self.cwnd)  # an int, ties to even
+        return gap if gap > 1 else 1

@@ -149,7 +149,7 @@ class SenderBase:
             if gap and now < self._next_send_at:
                 if not self._pacing_armed:
                     self._pacing_armed = True
-                    self.engine.schedule(self._next_send_at, PACING_TIMER, self.flow_id)
+                    self.engine.schedule(self._next_send_at, PACING_TIMER, self)
                 return
             self._transmit(self.next_seq, now)
             self.next_seq += 1
@@ -174,8 +174,9 @@ class SenderBase:
         if acked > self.highest_acked:
             newly = acked - self.highest_acked
             send_times = self._send_times
-            for s in range(self.highest_acked + 1, acked):
-                send_times.pop(s, None)
+            if newly > 1:  # the range object alone costs more than the test
+                for s in range(self.highest_acked + 1, acked):
+                    send_times.pop(s, None)
             sent_at = send_times.pop(acked)
             self.highest_acked = acked
             self.dupacks = 0

@@ -162,6 +162,22 @@ def test_seed_outside_64_bits_exits_2_before_any_run(tmp_path, monkeypatch, caps
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1"],
+    ["--seed", str(2**64)],
+    ["--cells", "no-such-cell"],
+], ids=["seed-negative", "seed-2**64", "cells-select-nothing"])
+def test_table1_usage_error_creates_no_out_directory(tmp_path, monkeypatch, capsys, argv):
+    def no_run(*_args, **_kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "_run_batch", no_run)
+    out = tmp_path / "new"
+    assert cli.main(["table1", *argv, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 FIXED_START_RUN = """
 import sys
 from ledbatsim import cli

@@ -1,13 +1,15 @@
 """Golden runs: the SHA-256 of the trace and summary CSVs, and the number of
 events dispatched per kind, of every figure preset and of one summary-grid
 cell per flow mix, each cut to 30 s; and the full-length `fig2a` and
-`fig3-bottom` output files against the digests pinned in bench/pinned.json.
+`fig3-bottom` output files and events per kind against the ones pinned in
+bench/pinned.json.
 
 A refactor that is meant to keep behaviour must keep these bytes and this
 event schedule. A change that moves them on purpose re-records them and says
 why.
 """
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -90,9 +92,9 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@functools.cache
-def _golden_run(preset):
-    """Run a preset's 30 s cut once: ((trace sha256, summary sha256), events by kind)."""
+@contextlib.contextmanager
+def _counting_events():
+    """Count, by kind name, every event the runs inside the block dispatch."""
     dispatched = Counter()
 
     class CountingEngine(Engine):
@@ -102,10 +104,17 @@ def _golden_run(preset):
                 handler(payload)
             super().register(kind, counted)
 
+    with mock.patch.object(harness, "Engine", CountingEngine):
+        yield dispatched
+
+
+@functools.cache
+def _golden_run(preset):
+    """Run a preset's 30 s cut once: ((trace sha256, summary sha256), events by kind)."""
     scenario = replace(get_preset(preset), duration_s=CUT_S)
     if preset.startswith("table1-"):
         scenario = replace(scenario, seed=GRID_SEED)
-    with mock.patch.object(harness, "Engine", CountingEngine):
+    with _counting_events() as dispatched:
         result = run_scenario(scenario)
     with tempfile.TemporaryDirectory() as tmp:
         trace, summary = Path(tmp, "trace.csv"), Path(tmp, "summary.csv")
@@ -129,6 +138,8 @@ def test_event_counts_match_golden(preset):
 def test_full_length_output_matches_bench_pins(preset, tmp_path, monkeypatch):
     monkeypatch.delenv("LEDBATSIM_OUT_DIR", raising=False)
     # the cut runs above end at 30 s; this covers the late drops and ties
-    pinned = json.loads((ROOT / "bench" / "pinned.json").read_text())[preset]["files"]
-    assert cli.main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
-    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == pinned
+    pinned = json.loads((ROOT / "bench" / "pinned.json").read_text())[preset]
+    with _counting_events() as dispatched:
+        assert cli.main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == pinned["files"]
+    assert {kind.lower(): n for kind, n in dispatched.items()} == pinned["events"]

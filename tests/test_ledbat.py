@@ -2,6 +2,8 @@
 pacing schedule."""
 
 import math
+import random
+from collections import deque
 
 from ledbatsim.engine import Engine
 from ledbatsim.ledbat import SLOT_US, BaseDelayHistory, LedbatFlow
@@ -40,7 +42,7 @@ def _feed(flow, delay_us, now=0):
 def test_increment_at_empty_queue_matches_loss_based_rate():
     flow = _flow(cwnd=10.0)
     _feed(flow, 50_000)  # first sample: base == current, est 0
-    assert flow.queuing_delay_est_us() == 0
+    assert flow.queuing_delay_est_us == 0
     flow.on_new_ack(_ack(50_000), 1, 0)
     assert flow.cwnd == 10.0 + 1.0 / 10.0  # exactly 1/cwnd
 
@@ -129,14 +131,71 @@ def test_history_depth_sets_forgetting_horizon():
     assert h.update(999, 10 * SLOT_US) == 999
 
 
+class _MinOfSlots:
+    """Reference history: the same per-minute slots, scanned on every sample."""
+
+    def __init__(self, minutes):
+        self.minutes = minutes
+        self.slots = deque(maxlen=minutes)
+        self.cur_slot = None
+
+    def update(self, measured_us, now_us):
+        slot = now_us // SLOT_US
+        if self.cur_slot is None:
+            self.slots.append(measured_us)
+            self.cur_slot = slot
+        elif slot != self.cur_slot:
+            for _ in range(min(slot - self.cur_slot, self.minutes)):
+                self.slots.append(measured_us)
+            self.cur_slot = slot
+        elif measured_us < self.slots[-1]:
+            self.slots[-1] = measured_us
+        return min(self.slots)
+
+
+def test_running_minimum_equals_the_scan_of_every_slot():
+    rng = random.Random(20091)
+    for depth in range(2, 11):
+        for _ in range(20):
+            h, ref = BaseDelayHistory(depth), _MinOfSlots(depth)
+            now = rng.randrange(3 * SLOT_US)
+            for _ in range(300):
+                step = rng.random()
+                if step < 0.05:  # a gap longer than the whole history
+                    now += rng.randrange(depth + 1, 3 * depth) * SLOT_US
+                elif step < 0.2:  # onto the next minute boundary or a few past it
+                    now = (now // SLOT_US + rng.randrange(1, depth + 1)) * SLOT_US
+                else:
+                    now += rng.randrange(SLOT_US // 50)
+                # negative values are what a receiver clock behind the sender's gives
+                measured = rng.choice((rng.randrange(-5_000, 5_000),
+                                       rng.randrange(40_000, 200_000)))
+                assert h.update(measured, now) == ref.update(measured, now)
+
+
+def test_estimate_is_formed_once_per_sample():
+    plain, skewed = _flow(), _flow()
+    pinned = _flow(pin_zero_queuing_delay=True)
+    for flow in (plain, skewed, pinned):
+        assert flow.queuing_delay_est_us == 0  # before the first sample
+    for i, delay in enumerate((50_000, 61_000, 48_000, 55_000, 48_000, 90_000)):
+        now = i * SLOT_US // 2  # crosses minute boundaries
+        _feed(plain, delay, now)
+        _feed(skewed, delay - 3_600_000_000, now)  # receiver clock an hour behind
+        _feed(pinned, delay, now)
+        assert plain.queuing_delay_est_us == delay - plain.base_delay_us
+        assert skewed.queuing_delay_est_us == plain.queuing_delay_est_us
+        assert pinned.queuing_delay_est_us == 0
+
+
 def test_base_never_above_current_sample_on_first_use():
     flow = _flow()
     _feed(flow, 42_000)
     assert flow.base_delay_us == 42_000
-    assert flow.queuing_delay_est_us() == 0
+    assert flow.queuing_delay_est_us == 0
     _feed(flow, 43_000)
     assert flow.base_delay_us == 42_000
-    assert flow.queuing_delay_est_us() == 1000
+    assert flow.queuing_delay_est_us == 1000
 
 
 def test_clock_offset_cancels_in_the_estimate():
@@ -145,7 +204,7 @@ def test_clock_offset_cancels_in_the_estimate():
     for delay in (50_000, 61_000, 55_000):
         _feed(plain, delay)
         _feed(skewed, delay + 3_600_000_000)  # stamped an hour late
-    assert plain.queuing_delay_est_us() == skewed.queuing_delay_est_us()
+    assert plain.queuing_delay_est_us == skewed.queuing_delay_est_us
 
 
 # -- slow start ----------------------------------------------------------------
@@ -213,6 +272,19 @@ def test_pacing_gap_zero_before_first_rtt_and_when_disabled():
     off = _flow(cwnd=10.0, pacing=False)
     off.rtt_est_us = 50_000
     assert off.pacing_gap_us() == 0
+
+
+def test_pacing_gap_is_the_rounded_ratio_floored_at_one():
+    flow = _flow()
+    ratios = set()
+    for rtt in (1, 3, 5, 7, 1000, 1001, 50_000, 50_001, 123_457):
+        for cwnd in (0.5, 1.0, 1.5, 2.0, 2.5, 4.0, 7.3, 10.0, 1e3, 1e7):
+            flow.rtt_est_us, flow.cwnd = rtt, cwnd
+            gap = flow.pacing_gap_us()
+            assert type(gap) is int and gap == max(1, int(round(rtt / cwnd)))
+            ratios.add(rtt / cwnd)
+    assert {0.5, 1.5, 2.5, 500.5} <= ratios  # ties, which round to even
+    assert min(ratios) < 1
 
 
 def test_pacing_gap_never_below_one_microsecond():
