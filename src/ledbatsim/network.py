@@ -22,7 +22,6 @@ class Packet:
     is_ack: bool = False
     ack_of_seq: int = 0
     measured_delay_us: int = 0
-    is_retransmission: bool = False
 
 
 # bound once: an enum member lookup costs several times a global's, once per packet

@@ -59,12 +59,13 @@ class Scenario:
     start_jitter_s: float = 0.0  # extra U(0, jitter) on the second flow's start
 
     def validate(self) -> None:
-        # the name is an output file stem and a scenario-file value
+        # the name is an output file stem, a scenario-file value and an
+        # unquoted CSV field
         if not self.name or self.name != self.name.strip():
             raise ValidationError("name must be non-empty, without leading or trailing blanks")
-        if not self.name.isprintable() or any(c in self.name for c in "/\\#"):
+        if not self.name.isprintable() or any(c in self.name for c in '/\\#,"'):
             raise ValidationError(
-                f"name {self.name!r} must be printable, without '/', '\\' or '#'")
+                f"name {self.name!r} must be printable, without '/', '\\', '#', ',' or '\"'")
         _check_finite(self, "")
         for i, f in enumerate(self.flows):
             _check_finite(f, f"flow {i}: ")
@@ -267,41 +268,33 @@ def _read_gain(value: str) -> tuple[int, int]:
 
 
 def _scaled(scale: int):
-    """Read and write a file number whose unit is `scale` of the model's
-    integer unit (Mbps for bps, ms for us)."""
-    return lambda v: int(round(_read_float(v) * scale)), lambda n: repr(n / scale)
+    """Read a file number whose unit is `scale` of the model's integer unit
+    (Mbps for bps, ms for us)."""
+    return lambda v: int(round(_read_float(v) * scale))
 
 
-# conversions in and out; repr writes the shortest text that reads back the
-# same float
-_STR = (str, str)
-_INT = (int, str)
-_FLOAT = (_read_float, repr)
-_ONOFF = (_read_bool, lambda b: "on" if b else "off")
-
-# (file key, attribute, read, write). An absent key takes the dataclass
-# default, and format_scenario leaves out every value equal to it.
+# (file key, attribute, read). An absent key takes the dataclass default.
 _SCENARIO_KEYS = [
-    ("name", "name", *_STR),
-    ("capacity_mbps", "capacity_bps", *_scaled(1_000_000)),
-    ("buffer_pkts", "buffer_pkts", *_INT),
-    ("rtt_base_ms", "rtt_base_us", *_scaled(1000)),
-    ("packet_bytes", "packet_bytes", *_INT),
-    ("duration_s", "duration_s", *_FLOAT),
-    ("seed", "seed", *_INT),
-    ("delta_t_mode", "delta_t_mode", *_STR),
-    ("start_jitter_s", "start_jitter_s", *_FLOAT),
+    ("name", "name", str),
+    ("capacity_mbps", "capacity_bps", _scaled(1_000_000)),
+    ("buffer_pkts", "buffer_pkts", int),
+    ("rtt_base_ms", "rtt_base_us", _scaled(1000)),
+    ("packet_bytes", "packet_bytes", int),
+    ("duration_s", "duration_s", _read_float),
+    ("seed", "seed", int),
+    ("delta_t_mode", "delta_t_mode", str),
+    ("start_jitter_s", "start_jitter_s", _read_float),
 ]
 _FLOW_KEYS = [
-    ("kind", "kind", *_STR),
-    ("start_s", "start_s", *_FLOAT),
-    ("slow_start", "slow_start", *_ONOFF),
-    ("pacing", "pacing", *_ONOFF),
-    ("target_ms", "target_ms", *_FLOAT),
-    ("gain", "gain", _read_gain, lambda g: f"{g[0]}/{g[1]}"),
-    ("base_histo_min", "base_histo_min", *_INT),
-    ("clock_offset_us", "clock_offset_us", *_INT),
-    ("pin_zero_queuing_delay", "pin_zero_queuing_delay", *_ONOFF),
+    ("kind", "kind", str),
+    ("start_s", "start_s", _read_float),
+    ("slow_start", "slow_start", _read_bool),
+    ("pacing", "pacing", _read_bool),
+    ("target_ms", "target_ms", _read_float),
+    ("gain", "gain", _read_gain),
+    ("base_histo_min", "base_histo_min", int),
+    ("clock_offset_us", "clock_offset_us", int),
+    ("pin_zero_queuing_delay", "pin_zero_queuing_delay", _read_bool),
 ]
 
 
@@ -310,7 +303,7 @@ def _read_block(cls, keys, block: dict[str, tuple[str, str]], where: str) -> dic
     required = {f.name for f in fields(cls)
                 if f.default is MISSING and f.default_factory is MISSING}
     kwargs = {}
-    for key, attr, read, _ in keys:
+    for key, attr, read in keys:
         if key in block:
             value, at = block.pop(key)
             try:
@@ -358,24 +351,3 @@ def parse_scenario_text(text: str, origin: str = "<string>") -> Scenario:
         for i, block in enumerate(flow_blocks)
     ]
     return Scenario(flows=flows, **top_kwargs)
-
-
-def format_scenario(s: Scenario) -> str:
-    """Inverse of parse_scenario_text, for diff-friendly scenario files:
-    parse_scenario_text(format_scenario(s)) == s. A text value survives only
-    without a '#', a line break, or leading or trailing blanks, which
-    Scenario.validate rejects in a name."""
-    out = [_HEADER]
-
-    def write_block(obj, keys):
-        defaults = {f.name: f.default for f in fields(obj)}
-        for key, attr, _, write in keys:
-            value = getattr(obj, attr)
-            if value != defaults[attr]:
-                out.append(f"{key} = {write(value)}")
-
-    write_block(s, _SCENARIO_KEYS)
-    for f in s.flows:
-        out.append("[flow]")
-        write_block(f, _FLOW_KEYS)
-    return "\n".join(out) + "\n"

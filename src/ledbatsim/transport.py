@@ -131,10 +131,6 @@ class SenderBase:
 
     # -- sending -----------------------------------------------------------
 
-    @property
-    def flightsize(self) -> int:
-        return self.next_seq - 1 - self.highest_acked
-
     def start(self, now: int) -> None:
         self._last_progress_at = now
         self.try_send(now)
@@ -163,9 +159,7 @@ class SenderBase:
         self._send_times[seq] = now
         if retransmission:
             self.retransmits += 1
-        # positional, as in Receiver.on_data: not an ack, so ack_of_seq and delay are 0
-        self.link.enqueue(
-            Packet(self.flow_id, seq, self.packet_bytes, now, False, 0, 0, retransmission))
+        self.link.enqueue(Packet(self.flow_id, seq, self.packet_bytes, now))
 
     # -- receiving ---------------------------------------------------------
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from ledbatsim.harness import (
+    DEFAULT_SAMPLE_US,
     TraceSet,
     _batch_worker,
     _run_batch,
@@ -18,6 +19,7 @@ from ledbatsim.harness import (
     run_table1,
     write_trace_csv,
 )
+from ledbatsim.network import Bottleneck
 from ledbatsim.scenario import Scenario, UsageError, ValidationError, get_preset
 from ledbatsim.transport import FlowSpec
 
@@ -107,6 +109,28 @@ def test_flow_start_times_are_honored():
 def test_run_rejects_invalid_scenario():
     with pytest.raises(ValidationError):
         run_scenario(_tiny(buffer_pkts=0))
+
+
+def test_a_packet_lost_inside_the_link_stops_the_run_at_the_next_tick(monkeypatch):
+    enqueue = Bottleneck.enqueue
+    lost_at = []
+
+    def leaky_enqueue(self, pkt):
+        # from the 100th offer on, the first the link would accept is
+        # counted as offered and then never queued
+        if not lost_at and self.offered >= 99 and len(self.queue) <= self.buffer_pkts:
+            self.offered += 1
+            lost_at.append(self.engine.now)
+            return True
+        return enqueue(self, pkt)
+
+    monkeypatch.setattr(Bottleneck, "enqueue", leaky_enqueue)
+    with pytest.raises(RuntimeError) as exc:
+        run_scenario(_tiny(duration_s=5.0))
+    (t,) = lost_at
+    assert t % DEFAULT_SAMPLE_US  # off the tick grid: no tick at t runs before the offer
+    tick = (t // DEFAULT_SAMPLE_US + 1) * DEFAULT_SAMPLE_US
+    assert str(exc.value) == f"packet conservation violated at t={tick}"
 
 
 # -- table orchestration ---------------------------------------------------------

@@ -1,10 +1,16 @@
-"""Bottleneck queue: service times, drop-tail boundary, FIFO order, conservation."""
+"""Bottleneck queue: service times, drop-tail boundary, FIFO order, conservation,
+and whole runs checked against Lindley's recursion."""
+
+import bisect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ledbatsim.engine import Engine, EventKind
+from ledbatsim.harness import run_scenario
 from ledbatsim.network import AckPath, Bottleneck, Packet, service_time_us
+from ledbatsim.scenario import get_preset
 
 
 def _pkt(seq, size=1500, flow=0):
@@ -129,3 +135,56 @@ def test_offer_at_the_heads_departure_time(offer_scheduled_first, accepted):
     assert link.delivered == 1
     assert [p.seq for p in link.queue] == ([2, 3] if accepted else [2])
     assert link.drops == ([] if accepted else [(departs_at, 0, 3)])
+
+
+# -- an oracle for whole runs ---------------------------------------------------
+
+
+@pytest.fixture
+def link_log(monkeypatch):
+    """(offers, departures) of the runs inside the test: each offer to a
+    Bottleneck as (t_us, size_bytes, accepted), each departure as its time,
+    in the order they happen. The only place that knows where the link
+    judges an offer and where a packet leaves it."""
+    offers, departures = [], []
+    enqueue, service_done = Bottleneck.enqueue, Bottleneck._service_done
+
+    def logged_enqueue(self, pkt):
+        accepted = enqueue(self, pkt)
+        offers.append((self.engine.now, pkt.size_bytes, accepted))
+        return accepted
+
+    def logged_service_done(self, payload):
+        departures.append(self.engine.now)
+        service_done(self, payload)
+
+    monkeypatch.setattr(Bottleneck, "enqueue", logged_enqueue)
+    monkeypatch.setattr(Bottleneck, "_service_done", logged_service_done)
+    return offers, departures
+
+
+# the golden presets and the slowest link; six of the nine refuse offers in 30 s
+@pytest.mark.parametrize("preset", [
+    "fig2a", "fig2b", "fig3-top", "fig3-mid", "fig3-bottom", "tcp-alone-hs-b40",
+    "table1-tl-c2-b10-dtu-noss", "table1-ll-c2-b10-dt2-ss", "adsl-up-b10-tcp-vs-ledbat",
+])
+def test_whole_run_follows_lindleys_recursion(preset, link_log):
+    """A FIFO with one server departs packet i at max(a_i, d_prev) + svc_i
+    (Lindley 1952), and a drop-tail buffer of B waiting slots refuses an offer
+    exactly when B + 1 accepted packets are still there. The one slack is a
+    departure at the offer's own time, whose order against the offer
+    test_offer_at_the_heads_departure_time pins."""
+    offers, departures = link_log
+    scn = replace(get_preset(preset), duration_s=30.0)
+    run_scenario(scn)
+    buffer_pkts = scn.buffer_pkts
+    departs = []  # the recursion's departure of each accepted packet, in offer order
+    for t, size, accepted in offers:
+        if accepted:
+            assert len(departs) - bisect.bisect_right(departs, t) <= buffer_pkts
+            start = max(t, departs[-1]) if departs else t
+            departs.append(start + service_time_us(size, scn.capacity_bps))
+        else:
+            assert len(departs) - bisect.bisect_left(departs, t) >= buffer_pkts + 1
+    assert departures == departs[:len(departures)]
+    assert all(d > scn.duration_us for d in departs[len(departures):])

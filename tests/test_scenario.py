@@ -1,6 +1,7 @@
 """Scenario model and bounds, start resolution, presets, scenario files."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from ledbatsim.scenario import (
     Scenario,
     UsageError,
     ValidationError,
-    format_scenario,
     get_preset,
     parse_scenario_text,
     preset_names,
@@ -66,6 +66,9 @@ def test_validate_passes_sane_scenario():
     (dict(name="two\nlines"), "printable"),
     (dict(name=" padded"), "leading or trailing blanks"),
     (dict(name="padded\t"), "leading or trailing blanks"),
+    # the name is also an unquoted field of <name>-summary.csv
+    (dict(name="a,b"), "without '/'"),
+    (dict(name='"q'), "without '/'"),
 ])
 def test_validate_rejects_bad_top_level(patch, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -199,16 +202,96 @@ def test_only_a_scenario_that_draws_builds_a_generator(monkeypatch):
 # -- scenario files --------------------------------------------------------------
 
 
+# every key of both sections set to a value other than its default; the
+# seven-digit numbers are ones that a six-digit reading would change
+EVERY_KEY_TEXT = """\
+ledbatsim-scenario v1
+name = every-key
+capacity_mbps = 1.234567
+buffer_pkts = 33
+rtt_base_ms = 1234.567
+packet_bytes = 1000
+duration_s = 120.5
+seed = 7
+delta_t_mode = uniform
+start_jitter_s = 0.25
+
+[flow]
+kind = tcp
+slow_start = on
+
+[flow]
+kind = ledbat
+start_s = 12.345678
+slow_start = true
+pacing = off
+target_ms = 1234.5678
+gain = 1/50000
+base_histo_min = 4
+clock_offset_us = -250
+pin_zero_queuing_delay = on
+"""
+
+
+def test_every_scenario_file_key_parses_to_its_field():
+    scn = parse_scenario_text(EVERY_KEY_TEXT, origin="every.scn")
+    assert scn == Scenario(
+        name="every-key", capacity_bps=1_234_567, buffer_pkts=33, rtt_base_us=1_234_567,
+        packet_bytes=1000, duration_s=120.5, seed=7, delta_t_mode="uniform",
+        start_jitter_s=0.25,
+        flows=[
+            FlowSpec("tcp", slow_start=True),
+            FlowSpec("ledbat", start_s=12.345678, slow_start=True, pacing=False,
+                     target_ms=1234.5678, gain=(1, 50_000), base_histo_min=4,
+                     clock_offset_us=-250, pin_zero_queuing_delay=True),
+        ])
+    scn.validate()
+    # the text names every key, and each reads as other than its default
+    set_keys = {line.partition("=")[0].strip() for line in EVERY_KEY_TEXT.splitlines()[1:]
+                if "=" in line}
+    assert set_keys == {key for key, _, _ in scenario._SCENARIO_KEYS + scenario._FLOW_KEYS}
+    for obj, keys in ((scn, scenario._SCENARIO_KEYS), (scn.flows[1], scenario._FLOW_KEYS)):
+        defaults = {f.name: f.default for f in fields(obj)}  # MISSING where required
+        for key, attr, _ in keys:
+            assert getattr(obj, attr) != defaults[attr], key
+
+
+# file unit against model unit as a power of ten (Mbps for bps, ms for us)
+_FILE_UNIT_SHIFT = {"capacity_mbps": -6, "rtt_base_ms": -3}
+
+
+def _file_value(key, value):
+    if key in _FILE_UNIT_SHIFT:
+        return str(Decimal(value).scaleb(_FILE_UNIT_SHIFT[key]))  # exact decimal
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return "%d/%d" % value
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _scenario_file_text(scn):
+    """Scenario-file text that states every field of `scn` exactly."""
+    lines = ["ledbatsim-scenario v1"]
+    for obj, keys in [(scn, scenario._SCENARIO_KEYS)] + [(f, scenario._FLOW_KEYS)
+                                                         for f in scn.flows]:
+        if obj is not scn:
+            lines.append("[flow]")
+        lines += [f"{key} = {_file_value(key, getattr(obj, attr))}"
+                  for key, attr, _ in keys if getattr(obj, attr) is not None]
+    return "\n".join(lines) + "\n"
+
+
 def test_scenario_text_round_trip():
     scn = _tiny(flows=[
         FlowSpec("tcp", slow_start=True),
         FlowSpec("ledbat", start_s=3.0, gain=(1, 50_000), base_histo_min=4,
                  clock_offset_us=250, pacing=False, pin_zero_queuing_delay=True),
     ], seed=7, delta_t_mode="uniform", start_jitter_s=0.25, packet_bytes=1000)
-    assert parse_scenario_text(format_scenario(scn), origin="round.scn") == scn
+    assert parse_scenario_text(_scenario_file_text(scn), origin="round.scn") == scn
 
 
-# :g kept 6 significant digits, so every one of these read back changed
+# a reading that kept 6 significant digits would change every one of these
 SEVEN_DIGITS = _tiny(
     capacity_bps=1_234_567,
     rtt_base_us=1_234_567,
@@ -219,7 +302,8 @@ SEVEN_DIGITS = _tiny(
 @pytest.mark.parametrize("scn", [get_preset(n) for n in preset_names()] + [SEVEN_DIGITS],
                          ids=preset_names() + ["seven-digits"])
 def test_scenario_file_round_trips_exactly(scn):
-    assert parse_scenario_text(format_scenario(scn)) == scn
+    # every preset, stated as a file, reads back as itself
+    assert parse_scenario_text(_scenario_file_text(scn)) == scn
 
 
 @pytest.mark.parametrize("text,fragment", [

@@ -1,5 +1,7 @@
 """Loss-based competitor: additive increase, halving, slow-start exit."""
 
+import pytest
+
 from ledbatsim.engine import Engine
 from ledbatsim.network import Packet
 from ledbatsim.tcp import TcpFlow
@@ -127,3 +129,20 @@ def test_single_flow_sawtooth_shape():
         segment = [c for t, c in zip(tr.sample_t_us, tr.cwnd_pkts[0])
                    if left < t < right]
         assert segment == sorted(segment)
+
+
+@pytest.mark.parametrize("buffer_pkts, drops", [(40, 91), (50, 73), (100, 31)])
+def test_solo_flow_drops_one_packet_per_halving(buffer_pkts, drops):
+    """With a buffer of at least the path's BDP (41.7 packets at 10 Mbps and
+    50 ms), a lone loss-based flow overflows the buffer by exactly one packet
+    per sawtooth tooth: each drop halves the window once and is resent once,
+    and no safety timeout is needed."""
+    from ledbatsim.harness import run_scenario
+    from ledbatsim.scenario import Scenario
+
+    scn = Scenario(name="solo", capacity_bps=10_000_000, buffer_pkts=buffer_pkts,
+                   flows=[FlowSpec("tcp")], duration_s=300.0)
+    res = run_scenario(scn)
+    stats = res.flow_stats[0]
+    assert len(res.trace.drops) == len(res.trace.halvings[0]) == stats.retransmits == drops
+    assert stats.timeouts == []

@@ -16,6 +16,16 @@ class _FakeLink:
         self.sent.append(pkt)
         return True
 
+    def resent(self):
+        """The sequence number of each send that repeats an earlier one, in send order."""
+        seen = set()
+        again = []
+        for p in self.sent:
+            if p.seq in seen:
+                again.append(p.seq)
+            seen.add(p.seq)
+        return again
+
 
 class _Recorder(SenderBase):
     """Controller stub: fixed window, records the hook calls."""
@@ -80,7 +90,7 @@ def test_window_gates_sends_to_floor_of_cwnd():
     tx = _Recorder(eng, link, cwnd=3.2)
     tx.start(0)
     assert [p.seq for p in link.sent] == [1, 2, 3]  # 3.2 - 3 < 1, stop
-    assert tx.flightsize == 3
+    assert tx.next_seq - 1 - tx.highest_acked == 3  # flightsize
 
 
 def test_rtt_filter_init_and_smoothing():
@@ -120,8 +130,8 @@ def test_three_dupacks_trigger_loss_and_hole_retransmit():
     assert tx.losses == []
     tx.on_ack(_ack(1), eng.now)  # third duplicate
     assert tx.losses == [50_000]
-    retx = link.sent[before]
-    assert (retx.seq, retx.is_retransmission) == (2, True)
+    assert link.sent[before].seq == 2
+    assert link.resent() == [2]
     assert tx.retransmits == 1
 
 
@@ -137,8 +147,8 @@ def test_partial_advance_retransmits_next_hole_without_new_loss():
     eng.now = 60_000
     tx.on_ack(_ack(2), eng.now)  # partial: 3 is inferred lost too
     assert tx.losses == [50_000]  # no second on_loss
-    holes = [p.seq for p in link.sent if p.is_retransmission]
-    assert holes == [2, 3]
+    assert link.resent() == [2, 3]
+    assert tx.retransmits == 2
     eng.now = 70_000
     tx.on_ack(_ack(9), eng.now)  # reaches the detection frontier: recovery closes
     tx.on_ack(_ack(9), eng.now)
@@ -156,8 +166,8 @@ def test_partial_advance_after_timeout_retransmits_next_hole_without_new_loss():
     assert tx.timeouts == [1_000_000] and tx.losses == [1_000_000]
     tx.on_ack(_ack(1), 1_050_000)  # partial: 2 is inferred lost too
     assert tx.losses == [1_000_000]  # no second on_loss
-    holes = [p.seq for p in link.sent if p.is_retransmission]
-    assert holes == [1, 2]
+    assert link.resent() == [1, 2]
+    assert tx.retransmits == 2
     tx.on_ack(_ack(4), 1_100_000)  # reaches the detection frontier: recovery closes
     for _ in range(3):
         tx.on_ack(_ack(4), 1_100_000)
@@ -187,7 +197,8 @@ def test_safety_timeout_fires_only_after_long_stall():
     tx.check_timeout(1_000_000)
     assert tx.timeouts == [1_000_000]
     assert tx.losses == [1_000_000]
-    assert link.sent[-1].is_retransmission
+    assert link.resent() == [1]
+    assert tx.retransmits == 1
     # progress reset: no immediate refire
     tx.check_timeout(1_100_000)
     assert tx.timeouts == [1_000_000]
