@@ -106,7 +106,7 @@ def _criterion_1(fig2a: RunResult, tcp_alone: RunResult):
     # solo run reported for context.
     span = (fig2a.metrics.t0_us, fig2a.metrics.t1_us)
     eta_total = fig2a.metrics.eta_percent
-    eta_tcp_share = utilization(tr, fig2a.scenario.capacity_bps, span, flow_id=tcp_id)
+    eta_tcp_share = utilization(tr, span, flow_id=tcp_id)
     gain = 100.0 * (eta_total - eta_tcp_share) / eta_tcp_share
     return {
         "1a": (f"queue={q_star} pkts at t={ts[i_star] / S:.2f} s "
@@ -134,7 +134,7 @@ def _criterion_2(fig2b: RunResult, fig2a: RunResult):
 def _criterion_3(fig3mid: RunResult):
     tr = fig3mid.trace
     resync_drops = [t for t, _, _ in tr.drops if 20 * S <= t <= 30 * S]
-    f = compute_report(tr, fig3mid.scenario.capacity_bps, (30 * S, 300 * S)).fairness
+    f = compute_report(tr, (30 * S, 300 * S)).fairness
     return {"3": (f"{len(resync_drops)} drops in [20,30] s; F[30,300]={f:.3f}",
                   bool(resync_drops) and f > 0.8)}
 

@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .harness import (
     DEFAULT_SAMPLE_US,
+    check_sample_us,
     run_scenario,
     run_table1,
     select_table1_cells,
@@ -52,13 +53,6 @@ def _prepare_paths(out_dir: Path, names, force: bool) -> list[Path]:
     return paths
 
 
-def _sample_us(args) -> int:
-    sample_us = round(args.sample_ms * 1000) if math.isfinite(args.sample_ms) else 0
-    if sample_us <= 0:
-        raise UsageError("--sample-ms must be a positive finite number")
-    return sample_us
-
-
 def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -69,15 +63,16 @@ def _at_least_one(text: str) -> int:
 def _run_and_write(targets, args) -> int:
     """Run each preset name or scenario file, and write its trace and summary.
     Every scenario and output path is checked before the first run."""
-    sample_us = _sample_us(args)
+    sample_us = round(args.sample_ms * 1000) if math.isfinite(args.sample_ms) else 0
     scenarios = [load_scenario(target) for target in targets]
     if args.seed is not None:
         scenarios = [replace(s, seed=args.seed) for s in scenarios]
     for scenario in scenarios:
         scenario.validate()
-        if sample_us > scenario.duration_us:  # the run would hold one sample
-            raise UsageError(f"--sample-ms {args.sample_ms:g} is longer than "
-                             f"{scenario.name}'s {scenario.duration_s:g} s run")
+        try:
+            check_sample_us(sample_us, scenario.duration_us)
+        except UsageError as exc:
+            raise UsageError(f"--sample-ms {args.sample_ms:g} for {scenario.name}: {exc}") from None
     paths = _prepare_paths(_out_dir(args), [f"{s.name}-{kind}.csv" for s in scenarios
                                             for kind in ("trace", "summary")], args.force)
     for scenario, trace_path, summary_path in zip(scenarios, paths[::2], paths[1::2]):

@@ -9,7 +9,6 @@ processing, so identical inputs give bit-identical traces.
 
 import bisect
 import contextlib
-import gc
 from array import array
 from dataclasses import dataclass
 
@@ -115,12 +114,8 @@ class _Simulation:
         self.engine = Engine()
 
         svc = service_time_us(scenario.packet_bytes, scenario.capacity_bps)
-        self.link = Bottleneck(
-            self.engine,
-            scenario.capacity_bps,
-            scenario.rtt_base_us // 2 - svc,
-            scenario.buffer_pkts,
-        )
+        self.link = Bottleneck(self.engine, svc, scenario.rtt_base_us // 2 - svc,
+                               scenario.buffer_pkts)
         self.ack_path = AckPath(self.engine, scenario.rtt_base_us // 2)
 
         self.senders = []
@@ -205,14 +200,27 @@ class _Simulation:
     def run(self) -> None:
         self.engine.schedule(0, STATS_SAMPLE, 0)  # the payload is the tick index
         for fid, spec in enumerate(self.scenario.flows):
-            self.engine.schedule(int(round(spec.start_s * 1_000_000)), EventKind.FLOW_START, fid)
+            self.engine.schedule(spec.start_us, EventKind.FLOW_START, fid)
         self.engine.schedule(self.duration_us, EventKind.SIM_END)
         self.engine.run(self.duration_us)
+        # the handlers and the events left queued point back at this
+        # simulation, its link and its senders: dropping them leaves no cycle,
+        # so the finished run is freed without the cycle collector
+        self.engine._handlers.clear()
+        self.engine._heap.clear()
         for v in self._views:
             v.release()
         self.trace.drops = self.link.drops
         for s in self.senders:
             self.trace.halvings[s.flow_id] = list(s.halvings)
+
+
+def check_sample_us(sample_us: int, duration_us: int) -> None:
+    """A sampling period: an int number of microseconds in (0, duration_us],
+    so that a run holds at least its first and last tick."""
+    if type(sample_us) is not int or not 0 < sample_us <= duration_us:
+        raise UsageError(f"sampling period must be an int of us within (0, {duration_us}], "
+                         f"not {sample_us!r}")
 
 
 def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US) -> RunResult:
@@ -223,12 +231,12 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US) -> RunR
     give bit-identical traces and metrics.
     """
     scenario.validate()
+    check_sample_us(sample_us, scenario.duration_us)
     resolved = resolve_starts(scenario, scenario.seed, 0, 0)
     sim = _Simulation(resolved, sample_us)
     sim.run()
-    t0 = resolved.flows[1].start_s if len(resolved.flows) > 1 else 0.0
-    interval = (int(round(t0 * 1_000_000)), resolved.duration_us)
-    metrics = compute_report(sim.trace, resolved.capacity_bps, interval)
+    t0_us = resolved.flows[1].start_us if len(resolved.flows) > 1 else 0
+    metrics = compute_report(sim.trace, (t0_us, resolved.duration_us))
     stats = [
         FlowStats(
             retransmits=s.retransmits,
@@ -334,11 +342,6 @@ def extract_check_facts(result: RunResult) -> RunCheckFacts:
 
 def _batch_worker(scenario: Scenario) -> tuple[MetricsReport, RunCheckFacts]:
     result = run_scenario(scenario)
-    # The engine's handler table holds bound methods of the simulation and the
-    # link, which both hold the engine: the finished run, its whole trace
-    # included, is cyclic garbage that would stay until a full collection
-    # happens to run, and a batch would hold many such runs at once.
-    gc.collect()
     return result.metrics, extract_check_facts(result)
 
 
@@ -465,7 +468,7 @@ def write_summary_csv(result: RunResult, path: str) -> None:
             m.t0_us, m.t1_us, m.eta_percent, m.fairness, m.loss_rate]
     for fid, (spec, rate) in enumerate(zip(result.scenario.flows, m.flow_rates_bps)):
         cols += [f"flow{fid}_kind", f"flow{fid}_start_us", f"flow{fid}_rate_bps"]
-        vals += [spec.kind, int(round(spec.start_s * 1_000_000)), rate]
+        vals += [spec.kind, spec.start_us, rate]
     _write_csv(path, ",".join(cols), [",".join(map(str, vals))])
 
 

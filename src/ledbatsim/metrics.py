@@ -25,8 +25,8 @@ def jain_fairness(rates) -> float:
     return (total * total) / (len(rates) * squares)
 
 
-def utilization(trace, capacity_bps: int, interval, flow_id: int | None = None) -> float:
-    """Percent of link capacity carried over [t0_us, t1_us].
+def utilization(trace, interval, flow_id: int | None = None) -> float:
+    """Percent of the trace's link capacity carried over [t0_us, t1_us].
 
     Counts bits of packets that finished service inside the interval
     (retransmissions included); flow_id restricts to one flow's contribution.
@@ -37,7 +37,7 @@ def utilization(trace, capacity_bps: int, interval, flow_id: int | None = None) 
     if t1_us <= t0_us:
         raise ValueError("empty interval")
     bits = 8 * trace.delivered_bytes_between(t0_us, t1_us, flow_id)
-    pct = 100.0 * bits / (capacity_bps * (t1_us - t0_us) / 1_000_000)
+    pct = 100.0 * bits / (trace.capacity_bps * (t1_us - t0_us) / 1_000_000)
     return min(pct, 100.0)
 
 
@@ -60,7 +60,7 @@ class MetricsReport:
     flow_rates_bps: tuple[float, ...]
 
 
-def compute_report(trace, capacity_bps: int, interval) -> MetricsReport:
+def compute_report(trace, interval) -> MetricsReport:
     """Standard per-run report over one measurement interval."""
     t0_us, t1_us = interval
     span_s = (t1_us - t0_us) / 1_000_000
@@ -69,7 +69,7 @@ def compute_report(trace, capacity_bps: int, interval) -> MetricsReport:
         for fid in trace.flow_ids
     )
     return MetricsReport(
-        eta_percent=utilization(trace, capacity_bps, interval),
+        eta_percent=utilization(trace, interval),
         fairness=jain_fairness(rates),
         loss_rate=loss_rate(trace, interval),
         t0_us=t0_us,

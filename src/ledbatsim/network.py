@@ -1,10 +1,10 @@
 """Network path: drop-tail FIFO bottleneck on the data direction, clean fixed-delay
 return path for acks.
 
-Service time is exact integer arithmetic (bytes * 8 * 1e6 // bps), so a 1500 B
-packet takes 1200 us at 10 Mbps, 6000 us at 2 Mbps, 24000 us at 500 kbps. The
-bottleneck is one deque whose head is the packet in service; that packet does
-not occupy a buffer slot.
+Every data packet of a run has the scenario's packet_bytes and acks never reach
+the link, so the link serves each packet in the run's one service_us, exact in
+integers (bytes * 8 * 1e6 // bps: 1500 B take 1200 us at 10 Mbps, 24000 us at
+500 kbps). Its deque's head is the packet in service, which takes no buffer slot.
 """
 
 from collections import deque
@@ -29,24 +29,12 @@ PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
 LINK_SERVICE_DONE = EventKind.LINK_SERVICE_DONE
 
 
-def service_time_us(size_bytes: int, capacity_bps: int) -> int:
-    return size_bytes * 8 * 1_000_000 // capacity_bps
-
-
-class _ServiceTimes(dict):
-    """size_bytes -> service_time_us at one link rate, each size computed once."""
-
-    def __init__(self, capacity_bps: int):
-        super().__init__()
-        self.capacity_bps = capacity_bps
-
-    def __missing__(self, size_bytes: int) -> int:
-        svc = self[size_bytes] = service_time_us(size_bytes, self.capacity_bps)
-        return svc
+def service_time_us(size_bytes: int, rate_bps: int) -> int:
+    return size_bytes * 8 * 1_000_000 // rate_bps
 
 
 class Bottleneck:
-    """Drop-tail FIFO of buffer_pkts waiting slots feeding a fixed-rate transmitter.
+    """Drop-tail FIFO of buffer_pkts waiting slots; the link serves each packet in service_us.
 
     queue[0] is in service, so the deque holds at most buffer_pkts + 1 packets.
     A packet that completes service is counted delivered and handed to the far
@@ -58,17 +46,16 @@ class Bottleneck:
     def __init__(
         self,
         engine: Engine,
-        capacity_bps: int,
+        service_us: int,
         prop_delay_us: int,
         buffer_pkts: int,
     ):
         self.engine = engine
-        self.capacity_bps = capacity_bps
+        self.service_us = service_us
         self.prop_delay_us = prop_delay_us
         self.buffer_pkts = buffer_pkts
 
         self.queue: deque[Packet] = deque()
-        self._service_us = _ServiceTimes(capacity_bps)
 
         self.offered = 0
         self.delivered = 0
@@ -87,7 +74,7 @@ class Bottleneck:
         queue.append(pkt)
         if len(queue) == 1:  # the link was idle: serve it at once
             engine = self.engine
-            engine.schedule(engine.now + self._service_us[pkt.size_bytes], LINK_SERVICE_DONE)
+            engine.schedule(engine.now + self.service_us, LINK_SERVICE_DONE)
         return True
 
     def _service_done(self, _payload) -> None:
@@ -101,7 +88,7 @@ class Bottleneck:
         now = engine.now
         engine.schedule(now + self.prop_delay_us, PACKET_ARRIVAL, pkt)
         if queue:
-            engine.schedule(now + self._service_us[queue[0].size_bytes], LINK_SERVICE_DONE)
+            engine.schedule(now + self.service_us, LINK_SERVICE_DONE)
 
     def conservation_ok(self) -> bool:
         return self.offered == self.delivered + len(self.drops) + len(self.queue)

@@ -36,12 +36,15 @@ class ValidationError(UsageError):
 # scenario model
 
 
-def _check_finite(obj, where: str) -> None:
-    # nan passes every range comparison below, and inf breaks the integer clock
+def _check_numbers(obj, where: str) -> None:
+    # nan passes every range comparison below, and inf breaks the integer
+    # clock; a float in an int field breaks the run or is truncated by it
     for f in fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"{where}{f.name} must be a finite number")
+        if f.type is int and type(value) is not int:  # a bool is an int subclass
+            raise ValidationError(f"{where}{f.name} must be an int, not {value!r}")
 
 
 @dataclass
@@ -66,9 +69,9 @@ class Scenario:
         if not self.name.isprintable() or any(c in self.name for c in '/\\#,"'):
             raise ValidationError(
                 f"name {self.name!r} must be printable, without '/', '\\', '#', ',' or '\"'")
-        _check_finite(self, "")
+        _check_numbers(self, "")
         for i, f in enumerate(self.flows):
-            _check_finite(f, f"flow {i}: ")
+            _check_numbers(f, f"flow {i}: ")
         if self.capacity_bps <= 0:
             raise ValidationError("capacity_bps must be positive")
         if self.buffer_pkts < 1:
@@ -122,9 +125,9 @@ class Scenario:
 
 
 def check_seed(seed: int) -> None:
-    """A scenario seed or a grid's base seed: the generator takes [0, 2**64)."""
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be within [0, 2**64), not {seed}")
+    """A scenario seed or a grid's base seed: the generator takes an int in [0, 2**64)."""
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be within [0, 2**64) and an int, not {seed!r}")
 
 
 def rng_for_run(base_seed: int, cell_index: int, run_index: int) -> "numpy.random.Generator":

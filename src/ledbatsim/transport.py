@@ -49,6 +49,10 @@ class FlowSpec:
     pin_zero_queuing_delay: bool = False  # fault injection: estimator output forced to 0
 
     @property
+    def start_us(self) -> int:
+        return int(round(self.start_s * 1_000_000))
+
+    @property
     def target_us(self) -> int:
         return int(round(self.target_ms * 1000))
 

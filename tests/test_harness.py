@@ -111,6 +111,24 @@ def test_run_rejects_invalid_scenario():
         run_scenario(_tiny(buffer_pkts=0))
 
 
+@pytest.mark.parametrize("sample_us", [0, -5, 7.5, 10**9])
+def test_run_rejects_a_sampling_period_outside_the_run(sample_us):
+    # 10**9 us is longer than the 20 s run, which would then hold one tick
+    with pytest.raises(UsageError, match=r"sampling period must be an int of us within \(0, "):
+        run_scenario(_tiny(), sample_us=sample_us)
+
+
+def test_run_scenario_frees_its_run_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_scenario(_tiny(duration_s=2.0))
+        assert not any(isinstance(o, _Simulation) for o in gc.get_objects())
+        assert result.metrics.eta_percent > 0  # the run's result outlives it
+    finally:
+        gc.enable()
+
+
 def test_a_packet_lost_inside_the_link_stops_the_run_at_the_next_tick(monkeypatch):
     enqueue = Bottleneck.enqueue
     lost_at = []
@@ -150,8 +168,8 @@ def test_run_table_cell_filter_and_determinism():
 
 
 def test_batch_worker_frees_its_run():
-    # the engine and the simulation reference each other, so only the cycle
-    # collector frees a finished run
+    # a finished run drops the engine's handlers and queued events, which
+    # point back at the simulation, so the run is freed with the collector off
     gc.collect()
     gc.disable()
     try:
@@ -187,6 +205,12 @@ def test_batch_pool_has_no_more_workers_than_runs(monkeypatch, jobs, runs, pool_
     out = _run_batch([_tiny(duration_s=1.0)] * runs, jobs)
     assert len(out) == runs
     assert sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_run_table_rejects_a_base_seed_that_is_not_an_int():
+    # the grid's base seed meets the scenario seed's rule, before any run
+    with pytest.raises(ValidationError, match=r"seed must be within \[0, 2\*\*64\) and an int"):
+        run_table1(1, base_seed=1.5)
 
 
 def test_run_table_rejects_empty_selection_and_bad_runs():

@@ -74,14 +74,15 @@ def test_jain_bounds_and_scale_invariance_random_vectors():
 
 def test_utilization_counts_delivered_bits():
     tr = _trace()
-    assert utilization(tr, 10_000_000, (0, S)) == 100.0  # 1.25 MB in 1 s fills 10 Mbps
-    assert utilization(tr, 10_000_000, (0, S), flow_id=0) == 50.0
-    assert utilization(tr, 20_000_000, (0, S)) == 50.0
+    assert utilization(tr, (0, S)) == 100.0  # 1.25 MB in 1 s fills 10 Mbps
+    assert utilization(tr, (0, S), flow_id=0) == 50.0
+    tr.capacity_bps = 20_000_000
+    assert utilization(tr, (0, S)) == 50.0
 
 
 def test_utilization_rejects_empty_interval():
     with pytest.raises(ValueError):
-        utilization(_trace(), 10_000_000, (S, S))
+        utilization(_trace(), (S, S))
 
 
 def test_loss_rate_is_dropped_over_offered():
@@ -96,7 +97,7 @@ def test_loss_rate_zero_when_nothing_offered():
 
 
 def test_compute_report_bundles_all_three():
-    rep = compute_report(_trace(), 10_000_000, (0, S))
+    rep = compute_report(_trace(), (0, S))
     assert rep.eta_percent == 100.0
     assert rep.fairness == 1.0  # both flows at 5 Mbps
     assert rep.loss_rate == pytest.approx(0.05)

@@ -34,7 +34,7 @@ def test_target_delay_worth_of_buffering():
 
 def test_serving_head_takes_no_buffer_slot():
     eng = Engine()
-    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=2)
+    link = Bottleneck(eng, 1200, 10_000, buffer_pkts=2)
     assert link.enqueue(_pkt(1))  # goes straight into service
     assert [p.seq for p in link.queue] == [1]
     assert link.enqueue(_pkt(2))
@@ -51,7 +51,7 @@ def test_serving_head_takes_no_buffer_slot():
 ])
 def test_conservation_check_catches_a_lost_or_doubled_packet(tamper):
     eng = Engine()
-    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=2)
+    link = Bottleneck(eng, 1200, 10_000, buffer_pkts=2)
     for seq in (1, 2, 3):
         link.enqueue(_pkt(seq))
     assert link.conservation_ok()
@@ -61,7 +61,7 @@ def test_conservation_check_catches_a_lost_or_doubled_packet(tamper):
 
 def test_drops_record_time_flow_and_seq():
     eng = Engine()
-    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=1)
+    link = Bottleneck(eng, 1200, 10_000, buffer_pkts=1)
     for seq in (1, 2, 3):
         link.enqueue(_pkt(seq, flow=2))
     assert link.drops == [(0, 2, 3)]
@@ -71,7 +71,7 @@ def test_fifo_delivery_times_and_order():
     eng = Engine()
     arrivals = []
     eng.register(EventKind.PACKET_ARRIVAL, lambda pkt: arrivals.append((eng.now, pkt.seq)))
-    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=10)
+    link = Bottleneck(eng, 1200, 10_000, buffer_pkts=10)
     for seq in (1, 2, 3):
         link.enqueue(_pkt(seq))
     assert len(link.queue) == 3  # two waiting behind the one in service
@@ -86,7 +86,7 @@ def test_conservation_under_random_churn():
     rng = np.random.default_rng(3)
     eng = Engine()
     eng.register(EventKind.PACKET_ARRIVAL, lambda _pkt: None)
-    link = Bottleneck(eng, 2_000_000, 5_000, buffer_pkts=4)
+    link = Bottleneck(eng, 6000, 5_000, buffer_pkts=4)
     seq = 0
     accepted_bytes = 0
     for step in range(400):
@@ -120,11 +120,11 @@ def test_offer_at_the_heads_departure_time(offer_scheduled_first, accepted):
     event, and accepted when scheduled after it. A link that works out each
     departure at enqueue time must keep this rule or state where it differs."""
     eng = Engine()
-    link = Bottleneck(eng, 10_000_000, 10_000, buffer_pkts=1)
+    link = Bottleneck(eng, 1200, 10_000, buffer_pkts=1)
     results = []
     eng.register(EventKind.PACKET_ARRIVAL, lambda _pkt: None)
     eng.register(EventKind.PACING_TIMER, lambda pkt: results.append(link.enqueue(pkt)))
-    departs_at = service_time_us(1500, 10_000_000)
+    departs_at = link.service_us
     if offer_scheduled_first:
         eng.schedule(departs_at, EventKind.PACING_TIMER, _pkt(3))
     assert link.enqueue(_pkt(1)) and link.enqueue(_pkt(2))  # in service, one waiting

@@ -69,6 +69,13 @@ def test_validate_passes_sane_scenario():
     # the name is also an unquoted field of <name>-summary.csv
     (dict(name="a,b"), "without '/'"),
     (dict(name='"q'), "without '/'"),
+    # an int field takes a plain int: a float breaks the run or is truncated
+    (dict(capacity_bps=10e6), "capacity_bps must be an int, not 10000000.0"),
+    (dict(rtt_base_us=50000.0), "rtt_base_us must be an int"),
+    (dict(packet_bytes=1500.0), "packet_bytes must be an int"),
+    (dict(buffer_pkts=40.5), "buffer_pkts must be an int"),
+    (dict(buffer_pkts=True), "buffer_pkts must be an int, not True"),
+    (dict(seed=1.5), "seed must be an int"),
 ])
 def test_validate_rejects_bad_top_level(patch, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -91,6 +98,8 @@ def test_validate_rejects_bad_top_level(patch, fragment):
     (FlowSpec("ledbat", target_ms=float("inf")), "flow 0: target_ms must be a finite number"),
     (FlowSpec("ledbat", clock_offset_us=2**62 + 1), "clock_offset_us"),
     (FlowSpec("ledbat", clock_offset_us=-2**62 - 1), "clock_offset_us"),
+    (FlowSpec("ledbat", base_histo_min=2.0), "flow 0: base_histo_min must be an int"),
+    (FlowSpec("ledbat", clock_offset_us=0.5), "flow 0: clock_offset_us must be an int"),
 ])
 def test_validate_rejects_bad_flow(flow, fragment):
     with pytest.raises(ValidationError, match=fragment):
