@@ -18,7 +18,7 @@ from .metrics import MetricsReport, aggregate_runs, compute_report
 from .network import AckPath, Bottleneck, service_time_us
 from .scenario import Scenario, UsageError, check_seed, resolve_starts, table1_cells
 from .tcp import TcpFlow
-from .transport import Receiver
+from .transport import Receiver, SenderBase
 
 DEFAULT_SAMPLE_US = 10_000
 STARVATION_WINDOW_S = 10.0
@@ -152,7 +152,8 @@ class _Simulation:
 
         eng = self.engine
         eng.register(EventKind.PACKET_ARRIVAL, self._on_arrival)
-        eng.register(EventKind.PACING_TIMER, self._on_pacing_timer)
+        # looked up on the class here, so that a wrapper put on it is what runs
+        eng.register(EventKind.PACING_TIMER, SenderBase.on_pacing_timer)
         eng.register(EventKind.FLOW_START, self._on_flow_start)
         eng.register(STATS_SAMPLE, self._on_sample)
         eng.register(EventKind.SIM_END, lambda _payload: None)
@@ -164,9 +165,6 @@ class _Simulation:
         else:
             ack = self.receivers[pkt.flow_id].on_data(pkt, now)
             self.ack_path.send(ack)
-
-    def _on_pacing_timer(self, sender) -> None:  # the timer's payload is its sender
-        sender.on_pacing_timer(self.engine.now)
 
     def _on_flow_start(self, fid) -> None:
         self.senders[fid].start(self.engine.now)

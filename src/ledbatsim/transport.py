@@ -1,7 +1,9 @@
 """Endpoint machinery shared by both controllers.
 
-Receiver: acknowledges every arriving data packet with the cumulative
-in-order sequence and stamps the one-way delay it measured on its own clock.
+Receiver: turns every arriving data packet into its ack, which carries the
+cumulative in-order sequence and the one-way delay measured on the receiver's
+own clock. The ack is the data packet's own object, rewritten in place: nothing
+holds a delivered packet, so one object serves each transmission.
 
 SenderBase: sequencing, window gating, loss detection, and retransmission.
 Loss is inferred from 3 duplicate cumulative acks (plus a coarse safety
@@ -58,7 +60,10 @@ class FlowSpec:
 
 
 class Receiver:
-    """Cumulative-ack receiver with an out-of-order hold buffer."""
+    """Cumulative-ack receiver with an out-of-order hold buffer.
+
+    It turns each delivered data packet into that packet's ack in place.
+    """
 
     def __init__(self, flow_id: int, clock_offset_us: int = 0):
         self.flow_id = flow_id
@@ -67,7 +72,7 @@ class Receiver:
         self._buffered: set[int] = set()
 
     def on_data(self, pkt: Packet, now: int) -> Packet:
-        """Ingest a data packet, return the ack to send back.
+        """Ingest a data packet and return it rewritten as its ack.
 
         measured_delay is the receiver-clock arrival time minus the sender's
         departure stamp; clock_offset_us models the receiver-minus-sender
@@ -85,8 +90,13 @@ class Receiver:
         elif seq > expected:
             self._buffered.add(seq)
         # else: stale duplicate, still re-ack the cumulative point
-        # positional: flow_id, seq, size_bytes, sent_at, is_ack, ack_of_seq, measured_delay_us
-        return Packet(self.flow_id, 0, ACK_BYTES, now, True, self.highest_in_order, measured)
+        pkt.seq = 0
+        pkt.size_bytes = ACK_BYTES
+        pkt.sent_at_sender_clock = now
+        pkt.is_ack = True
+        pkt.ack_of_seq = self.highest_in_order
+        pkt.measured_delay_us = measured
+        return pkt
 
 
 class SenderBase:
@@ -140,29 +150,33 @@ class SenderBase:
         self.try_send(now)
 
     def try_send(self, now: int) -> None:
-        # a send changes neither the window nor the RTT estimate, so the gap
-        # read on the first pass holds for the whole call
+        # A future send time means a positive gap: only a paced flow with an
+        # RTT estimate sets one, and from then on its gap is at least 1. So
+        # the gap is read only when a send is due, and once per call, since a
+        # send changes neither the window nor the RTT estimate.
         gap = None
         while self.cwnd - (self.next_seq - 1 - self.highest_acked) >= 1.0:  # flightsize
-            if gap is None:
-                gap = self.pacing_gap_us()
-            if gap and now < self._next_send_at:
+            if now < self._next_send_at:
                 if not self._pacing_armed:
                     self._pacing_armed = True
                     self.engine.schedule(self._next_send_at, PACING_TIMER, self)
                 return
-            self._transmit(self.next_seq, now)
-            self.next_seq += 1
+            if gap is None:
+                gap = self.pacing_gap_us()
+            seq = self.next_seq
+            self._send_times[seq] = now
+            self.link.enqueue(Packet(self.flow_id, seq, self.packet_bytes, now))
+            self.next_seq = seq + 1
             self._next_send_at = now + gap
 
-    def on_pacing_timer(self, now: int) -> None:
+    def on_pacing_timer(self) -> None:
+        """The PACING_TIMER handler: the timer's payload is its sender."""
         self._pacing_armed = False
-        self.try_send(now)
+        self.try_send(self.engine.now)
 
-    def _transmit(self, seq: int, now: int, retransmission: bool = False) -> None:
+    def _retransmit(self, seq: int, now: int) -> None:
         self._send_times[seq] = now
-        if retransmission:
-            self.retransmits += 1
+        self.retransmits += 1
         self.link.enqueue(Packet(self.flow_id, seq, self.packet_bytes, now))
 
     # -- receiving ---------------------------------------------------------
@@ -179,12 +193,18 @@ class SenderBase:
             self.highest_acked = acked
             self.dupacks = 0
             self._last_progress_at = now
-            self._rtt_sample(now - sent_at)
+            sample = now - sent_at
+            if self.rtt_est_us is None:
+                self.rtt_est_us = sample
+            else:
+                self.rtt_est_us = (7 * self.rtt_est_us + sample) // 8
+            if sample > self.max_rtt_us:
+                self.max_rtt_us = sample
             self.on_delay_sample(ack, now)
             if self._recovery_point:
-                if self.highest_acked < self._recovery_point:
+                if acked < self._recovery_point:
                     # partial advance: the next hole is inferred lost too
-                    self._transmit(self.highest_acked + 1, now, retransmission=True)
+                    self._retransmit(acked + 1, now)
                 else:
                     self._recovery_point = 0
             self.on_new_ack(ack, newly, now)
@@ -201,16 +221,8 @@ class SenderBase:
         hole and tell the controller once."""
         self._recovery_point = self.next_seq - 1
         self.dupacks = 0
-        self._transmit(self.highest_acked + 1, now, retransmission=True)
+        self._retransmit(self.highest_acked + 1, now)
         self.on_loss(now)
-
-    def _rtt_sample(self, sample_us: int) -> None:
-        if self.rtt_est_us is None:
-            self.rtt_est_us = sample_us
-        else:
-            self.rtt_est_us = (7 * self.rtt_est_us + sample_us) // 8
-        if sample_us > self.max_rtt_us:
-            self.max_rtt_us = sample_us
 
     # -- loss helpers --------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Golden runs: the SHA-256 of the trace and summary CSVs, and the number of
 events dispatched per kind, of every figure preset and of one summary-grid
 cell per flow mix, each cut to 30 s; and the full-length `fig2a` and
-`fig3-bottom` output files and events per kind against the ones pinned in
-bench/pinned.json.
+`fig3-bottom` runs and the grid-slow table at base seed 0, their output files
+and events per kind against the ones pinned in bench/pinned.json.
 
 A refactor that is meant to keep behaviour must keep these bytes and this
 event schedule. A change that moves them on purpose re-records them and says
@@ -134,12 +134,24 @@ def test_event_counts_match_golden(preset):
     assert _golden_run(preset)[1] == EVENTS[preset]
 
 
-@pytest.mark.parametrize("preset", ["fig2a", "fig3-bottom"])
-def test_full_length_output_matches_bench_pins(preset, tmp_path, monkeypatch):
+# bench workload -> (its command line, the keys of its pin in bench/pinned.json)
+FULL_LENGTH = {
+    "fig2a": (["run", "--preset", "fig2a"], ["fig2a"]),
+    "fig3-bottom": (["run", "--preset", "fig3-bottom"], ["fig3-bottom"]),
+    "grid-slow": (["table1", "--cells=-c2-", "--runs", "1", "--seed", "0", "--jobs", "1"],
+                  ["grid-slow", "0"]),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(FULL_LENGTH))
+def test_full_length_output_matches_bench_pins(workload, tmp_path, monkeypatch):
     monkeypatch.delenv("LEDBATSIM_OUT_DIR", raising=False)
     # the cut runs above end at 30 s; this covers the late drops and ties
-    pinned = json.loads((ROOT / "bench" / "pinned.json").read_text())[preset]
-    with _counting_events() as dispatched:
-        assert cli.main(["run", "--preset", preset, "--out", str(tmp_path)]) == 0
+    argv, keys = FULL_LENGTH[workload]
+    pinned = json.loads((ROOT / "bench" / "pinned.json").read_text())
+    for key in keys:
+        pinned = pinned[key]
+    with _counting_events() as dispatched:  # --jobs 1: every run in this process
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
     assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == pinned["files"]
     assert {kind.lower(): n for kind, n in dispatched.items()} == pinned["events"]

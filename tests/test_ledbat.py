@@ -247,7 +247,7 @@ def test_loss_outside_slow_start_halves():
 
 def test_halving_floor_and_rate_limit():
     flow = _flow(cwnd=1.5)
-    flow._rtt_sample(100_000)
+    flow.rtt_est_us = flow.max_rtt_us = 100_000
     flow.on_loss(200_000)
     assert flow.cwnd == 1.0  # max(0.75, min_cwnd)
     flow.cwnd = 8.0

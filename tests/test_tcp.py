@@ -57,7 +57,7 @@ def test_halving_floor_at_min_window():
 
 def test_halving_rate_limited_by_smoothed_rtt():
     flow = _flow(cwnd=64.0)
-    flow._rtt_sample(100_000)
+    flow.rtt_est_us = flow.max_rtt_us = 100_000
     flow.on_loss(500_000)
     assert flow.cwnd == 32.0
     flow.on_loss(550_000)  # gated

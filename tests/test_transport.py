@@ -1,8 +1,16 @@
 """Endpoint machinery: receiver acking, RTT filter, dupack loss detection,
-halving rate limit, window gating, pacing timers."""
+halving rate limit, window gating, pacing timers; and, over whole runs, one
+packet object per transmission and the pacing gap's zero-then-positive order."""
 
+from dataclasses import replace
+
+import pytest
+
+from ledbatsim import harness, transport
 from ledbatsim.engine import Engine, EventKind
+from ledbatsim.ledbat import LedbatFlow
 from ledbatsim.network import Packet
+from ledbatsim.scenario import get_preset
 from ledbatsim.transport import ACK_BYTES, Receiver, SenderBase
 
 
@@ -74,6 +82,16 @@ def test_receiver_stamps_delay_on_its_own_clock():
     assert ack.measured_delay_us == 30_000 - 7_000_000  # negative is fine
 
 
+def test_receiver_turns_the_data_packet_into_its_ack():
+    rx = Receiver(3, clock_offset_us=-500)
+    pkt = Packet(3, 1, 1500, sent_at_sender_clock=100)
+    ack = rx.on_data(pkt, now=30_100)
+    assert ack is pkt
+    assert (ack.flow_id, ack.seq, ack.size_bytes, ack.sent_at_sender_clock) == (3, 0, ACK_BYTES,
+                                                                                 30_100)
+    assert (ack.is_ack, ack.ack_of_seq, ack.measured_delay_us) == (True, 1, 30_000 - 500)
+
+
 def test_receiver_reacks_stale_duplicate():
     rx = Receiver(0)
     rx.on_data(Packet(0, 1, 1500, 0), 0)
@@ -96,9 +114,11 @@ def test_window_gates_sends_to_floor_of_cwnd():
 def test_rtt_filter_init_and_smoothing():
     eng = Engine()
     tx = _Recorder(eng, _FakeLink())
-    tx._rtt_sample(8000)
+    tx.start(0)  # seqs 1..10 sent at 0
+    tx.on_ack(_ack(1), 8000)
     assert tx.rtt_est_us == 8000  # first sample loads the filter
-    tx._rtt_sample(16000)
+    assert tx.max_rtt_us == 8000
+    tx.on_ack(_ack(2), 16000)
     assert tx.rtt_est_us == (7 * 8000 + 16000) // 8  # == 9000
     assert tx.max_rtt_us == 16000
 
@@ -177,7 +197,7 @@ def test_partial_advance_after_timeout_retransmits_next_hole_without_new_loss():
 def test_halving_rate_limited_to_one_per_rtt():
     eng = Engine()
     tx = _Recorder(eng, _FakeLink(), cwnd=16.0)
-    tx._rtt_sample(100_000)
+    tx.rtt_est_us = tx.max_rtt_us = 100_000
     assert tx._halve(200_000, 8.0) is True
     assert tx.cwnd == 8.0
     assert tx._halve(250_000, 4.0) is False  # inside the RTT gate
@@ -191,7 +211,7 @@ def test_safety_timeout_fires_only_after_long_stall():
     link = _FakeLink()
     tx = _Recorder(eng, link, cwnd=2.0)
     tx.start(0)
-    tx._rtt_sample(100_000)
+    tx.rtt_est_us = tx.max_rtt_us = 100_000
     tx.check_timeout(900_000)  # under max(2*max_rtt, 1 s)
     assert tx.timeouts == [] and tx.losses == []
     tx.check_timeout(1_000_000)
@@ -234,7 +254,7 @@ def test_gap_blocked_sender_arms_one_pacing_timer_at_a_time():
     eng = _ArmLog()
     link = _FakeLink()
     tx = _Paced(eng, link, cwnd=4.0)
-    eng.register(EventKind.PACING_TIMER, lambda _fid: tx.on_pacing_timer(eng.now))
+    eng.register(EventKind.PACING_TIMER, lambda s: s.on_pacing_timer())
     tx.start(0)
     for _ in range(3):
         tx.try_send(0)  # still inside the gap: no second timer
@@ -264,11 +284,12 @@ class _GapReads(_Recorder):
 
 
 def test_one_try_send_reads_the_pacing_gap_at_most_once():
-    # the sequence of test_gap_blocked_sender_arms_one_pacing_timer_at_a_time
+    # the sequence of test_gap_blocked_sender_arms_one_pacing_timer_at_a_time:
+    # only a call that sends reads the gap; one blocked inside it reads nothing
     eng = _ArmLog()
     link = _FakeLink()
     tx = _GapReads(eng, link, cwnd=4.0, gap=1000)
-    eng.register(EventKind.PACING_TIMER, lambda _fid: tx.on_pacing_timer(eng.now))
+    eng.register(EventKind.PACING_TIMER, lambda s: s.on_pacing_timer())
     tx.start(0)
     for _ in range(3):
         tx.try_send(0)
@@ -276,7 +297,7 @@ def test_one_try_send_reads_the_pacing_gap_at_most_once():
     tx.try_send(1000)
     assert [(p.seq, p.sent_at_sender_clock) for p in link.sent] == [(1, 0), (2, 1000)]
     assert eng.scheduled == [(1000, EventKind.PACING_TIMER), (2000, EventKind.PACING_TIMER)]
-    assert tx.reads_per_call == [1] * 6
+    assert tx.reads_per_call == [1, 0, 0, 0, 1, 0]
 
 
 def test_batch_sender_reads_the_gap_once_for_a_whole_window():
@@ -287,3 +308,58 @@ def test_batch_sender_reads_the_gap_once_for_a_whole_window():
     tx.try_send(0)  # the window is full: no send, no read
     assert [p.seq for p in link.sent] == [1, 2, 3, 4]
     assert tx.reads_per_call == [1, 0]
+
+
+# -- whole runs ------------------------------------------------------------------
+
+
+def _cut(preset, **flow_changes):
+    scn = replace(get_preset(preset), duration_s=30.0)
+    return replace(scn, flows=[replace(f, **flow_changes) for f in scn.flows])
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig3-bottom"])
+def test_one_packet_object_per_transmission(preset, monkeypatch):
+    """Each send and resend builds one Packet, and its ack is that same object."""
+    made = [0]
+    links = []
+
+    def counted(*args):
+        made[0] += 1
+        return Packet(*args)
+
+    class Kept(harness._Simulation):
+        def run(self):
+            super().run()
+            links.append(self.link)
+
+    monkeypatch.setattr(transport, "Packet", counted)
+    monkeypatch.setattr(harness, "_Simulation", Kept)
+    harness.run_scenario(_cut(preset))
+    (link,) = links
+    assert link.delivered > 0
+    assert made[0] == link.offered
+
+
+@pytest.mark.parametrize("pacing", [True, False])
+def test_a_flows_pacing_gap_is_zero_until_it_turns_positive_for_good(pacing, monkeypatch):
+    """try_send takes a future send time to mean a positive gap, and reads the
+    gap only when a send is due. That holds because each flow's gap reads 0
+    up to some point and at least 1 from there on."""
+    gaps = {}
+    gap_us = LedbatFlow.pacing_gap_us
+
+    def recorded(self):
+        gap = gap_us(self)
+        gaps.setdefault(self.flow_id, []).append(gap)
+        return gap
+
+    monkeypatch.setattr(LedbatFlow, "pacing_gap_us", recorded)
+    scn = _cut("fig3-bottom", pacing=pacing)  # two delay-based flows
+    harness.run_scenario(scn)
+    assert sorted(gaps) == list(range(len(scn.flows)))
+    for series in gaps.values():
+        zeros = next((i for i, g in enumerate(series) if g), len(series))
+        assert zeros >= 1  # no RTT estimate at a flow's first send
+        assert all(g >= 1 for g in series[zeros:])
+        assert (zeros < len(series)) == pacing
