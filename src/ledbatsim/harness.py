@@ -11,6 +11,7 @@ import bisect
 import contextlib
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 from .engine import Engine, EventKind
 from .ledbat import LedbatFlow
@@ -18,12 +19,13 @@ from .metrics import MetricsReport, aggregate_runs, compute_report
 from .network import AckPath, Bottleneck, service_time_us
 from .scenario import Scenario, UsageError, check_seed, resolve_starts, table1_cells
 from .tcp import TcpFlow
-from .transport import Receiver, SenderBase
+from .transport import MIN_TIMEOUT_US, Receiver, SenderBase
 
 DEFAULT_SAMPLE_US = 10_000
 STARVATION_WINDOW_S = 10.0
 STARVATION_THRESHOLD = 0.05  # of the fair share
 STATS_SAMPLE = EventKind.STATS_SAMPLE  # bound once, as in network.py
+TRACE_BLOCK_TICKS = 128  # ticks the trace writer formats at once, which bounds its memory
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +131,13 @@ class _Simulation:
         ledbats = [s for s in self.senders if s.kind == "ledbat"]
         tr = self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps,
                                    self.duration_us, [s.flow_id for s in ledbats])
-        # Tick k falls at k * sample_us, up to the end. So every series but
-        # the base delay gets its full length here, and tick k writes entry k
-        # through a memoryview: an item store there costs about half of an
-        # array append, which converts each value through PyArg_Parse.
-        zeros = bytes(8 * (self.duration_us // sample_us + 1))
+        # Tick k falls at k * sample_us, up to the end. So the tick times are
+        # written here, every other series but the base delay gets its full
+        # length, and tick k writes entry k through a memoryview: an item
+        # store there costs about half of an array append, which converts
+        # each value through PyArg_Parse.
+        tr.sample_t_us = array("q", range(0, self.duration_us + 1, sample_us))
+        zeros = bytes(8 * len(tr.sample_t_us))
         self._views = []  # released after the run, so that the series can grow again
 
         def view(series):
@@ -141,8 +145,7 @@ class _Simulation:
             self._views.append(memoryview(series))
             return self._views[-1]
 
-        self._link_views = (view(tr.sample_t_us), view(tr.queue_pkts), view(tr.link_offered),
-                            view(tr.link_dropped))
+        self._link_views = (view(tr.queue_pkts), view(tr.link_offered), view(tr.link_dropped))
         self._flow_views = [
             (s, view(tr.cwnd_pkts[s.flow_id]), view(tr.delivered_bytes[s.flow_id]))
             for s in self.senders]
@@ -172,11 +175,10 @@ class _Simulation:
     def _on_sample(self, k) -> None:
         now = self.engine.now
         link = self.link
-        times, queue, offered, dropped = self._link_views
-        times[k] = now
-        queue[k] = len(link.queue)
-        offered[k] = link.offered
-        dropped[k] = len(link.drops)
+        queue, offered, dropped = self._link_views
+        queued = queue[k] = len(link.queue)
+        n_offered = offered[k] = link.offered
+        n_dropped = dropped[k] = len(link.drops)
         bytes_by_flow = link.bytes_by_flow
         for s, cwnd, delivered in self._flow_views:
             cwnd[k] = s.cwnd
@@ -186,11 +188,15 @@ class _Simulation:
             if base is not None:  # once set by the first delay sample, it stays set
                 store_base(base)
             qest[k] = s.queuing_delay_est_us
-        if not link.conservation_ok():
+        # Bottleneck.conservation_ok, on the counts just stored
+        if n_offered != link.delivered + n_dropped + queued:
             self.trace.conservation_ok = False
             raise RuntimeError(f"packet conservation violated at t={now}")
+        # a timeout waits at least MIN_TIMEOUT_US from the last progress, so
+        # a flow that made progress since then is not polled
         for s in self.senders:
-            s.check_timeout(now)
+            if now - s.last_progress_at >= MIN_TIMEOUT_US:
+                s.check_timeout(now)
         nxt = now + self.sample_us
         if nxt <= self.duration_us:
             self.engine.schedule(nxt, STATS_SAMPLE, k + 1)
@@ -412,7 +418,8 @@ def _run_batch(scenarios: list[Scenario], jobs: int, progress=None):
 
 
 def _write_csv(path, header: str, lines) -> None:
-    """Every CSV output: UTF-8, a header, then each row string as one newline-ended line."""
+    """Every CSV output: UTF-8, a header, then each item of `lines` (a row, or
+    a block of rows joined by newlines) ended by a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(line + "\n" for line in lines)
@@ -422,36 +429,48 @@ def write_trace_csv(trace: TraceSet, path: str) -> None:
     """Long-form rows: t_us,entity,series,value (entity is a flow id or 'link').
 
     Rows are in time order; at equal times a tick's sampled rows come first,
-    then drops, then halvings by flow id. Each row is written as it is formed.
+    then drops, then halvings by flow id. The ticks are formatted in blocks of
+    at most TRACE_BLOCK_TICKS, each written as it is formed.
     """
     # halvings land as exact-time window samples so plots show the edge
     events = [(t, f"{t},{fid},drop,{seq}") for t, fid, seq in trace.drops] + [
         (t, f"{t},{fid},cwnd_pkts,{cwnd_after}")
         for fid in trace.flow_ids for t, cwnd_after, _ in trace.halvings[fid]]
     events.sort(key=lambda e: e[0])
+    times = trace.sample_t_us
+    n = len(times)
+    # an event row goes before the first tick later than it
+    event_at = [bisect.bisect_right(times, t) for t, _ in events]
 
-    # a loss-based flow has empty delay series, which start after the last tick
-    flows = []
+    # the sampled series in row order: (first tick, row label, series); a
+    # loss-based flow's delay series are empty, so they start after the last tick
+    columns = [(0, ",link,queue_pkts,", trace.queue_pkts)]
     for fid in trace.flow_ids:
         base = trace.base_delay_us.get(fid, ())
         qest = trace.queuing_est_us.get(fid, ())
-        flows.append((fid, trace.cwnd_pkts[fid], base, trace.first_tick(base),
-                      qest, trace.first_tick(qest), trace.delivered_bytes[fid]))
+        columns += [(0, f",{fid},cwnd_pkts,", trace.cwnd_pkts[fid]),
+                    (trace.first_tick(base), f",{fid},base_delay_us,", base),
+                    (trace.first_tick(qest), f",{fid},queuing_est_us,", qest),
+                    (0, f",{fid},delivery,", trace.delivered_bytes[fid])]
+
+    # within a block every tick has the same rows and no event falls between two ticks
+    cuts = sorted({*range(0, n, TRACE_BLOCK_TICKS), n, *event_at,
+                   *(first for first, _, _ in columns if 0 < first < n)})
 
     def lines():
         k = 0
-        for i, t in enumerate(trace.sample_t_us):
-            while k < len(events) and events[k][0] < t:
+        for i0, i1 in zip(cuts, cuts[1:]):
+            while k < len(events) and event_at[k] <= i0:
                 yield events[k][1]
                 k += 1
-            yield f"{t},link,queue_pkts,{trace.queue_pkts[i]}"
-            for fid, cwnd, base, i_base, qest, i_qest, delivered in flows:
-                yield f"{t},{fid},cwnd_pkts,{cwnd[i]}"
-                if i >= i_base:
-                    yield f"{t},{fid},base_delay_us,{base[i - i_base]}"
-                if i >= i_qest:
-                    yield f"{t},{fid},queuing_est_us,{qest[i - i_qest]}"
-                yield f"{t},{fid},delivery,{delivered[i]}"
+            t = list(map(str, times[i0:i1]))
+            parts = []
+            for first, label, series in columns:
+                if first <= i0:
+                    parts += [t, repeat(label), map(str, series[i0 - first:i1 - first]),
+                              repeat("\n")]
+            parts.pop()  # the newline after a tick's last row is the join's
+            yield "\n".join(map("".join, zip(*parts)))
         for _, line in events[k:]:
             yield line
 

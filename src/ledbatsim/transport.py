@@ -117,12 +117,12 @@ class SenderBase:
         self.rtt_est_us: int | None = None
         self.max_rtt_us = 0
         self.last_halving_at: int | None = None
+        self.last_progress_at = 0  # start, last cumulative advance or last timeout
 
         self._send_times: dict[int, int] = {}
         self._next_send_at = 0
         self._pacing_armed = False
         self._recovery_point = 0
-        self._last_progress_at = 0
 
         self.retransmits = 0
         self.halvings: list[tuple[int, float, int]] = []  # (t, cwnd_after, rtt_gate)
@@ -146,7 +146,7 @@ class SenderBase:
     # -- sending -----------------------------------------------------------
 
     def start(self, now: int) -> None:
-        self._last_progress_at = now
+        self.last_progress_at = now
         self.try_send(now)
 
     def try_send(self, now: int) -> None:
@@ -192,7 +192,7 @@ class SenderBase:
             sent_at = send_times.pop(acked)
             self.highest_acked = acked
             self.dupacks = 0
-            self._last_progress_at = now
+            self.last_progress_at = now
             sample = now - sent_at
             if self.rtt_est_us is None:
                 self.rtt_est_us = sample
@@ -237,13 +237,17 @@ class SenderBase:
         return True
 
     def check_timeout(self, now: int) -> None:
-        """Coarse deadlock escape, polled on the periodic stats tick."""
-        # polled for every flow at every tick: the flight size and the max
+        """Coarse deadlock escape: with packets in flight and no cumulative
+        progress for max(2 * max_rtt_us, MIN_TIMEOUT_US), recover from the
+        first hole. The stats tick polls it for each flow whose
+        last_progress_at is at least MIN_TIMEOUT_US old, since no timeout is
+        due sooner."""
+        # polled on each tick of a stalled flow: the flight size and the max
         # are written out, as the property and the builtin call cost more
         if self.next_seq - 1 == self.highest_acked:  # nothing in flight
             return
         wait = 2 * self.max_rtt_us
-        if now >= self._last_progress_at + (wait if wait > MIN_TIMEOUT_US else MIN_TIMEOUT_US):
+        if now >= self.last_progress_at + (wait if wait > MIN_TIMEOUT_US else MIN_TIMEOUT_US):
             self.timeouts.append(now)
-            self._last_progress_at = now
+            self.last_progress_at = now
             self._enter_recovery(now)

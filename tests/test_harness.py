@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from ledbatsim import harness
 from ledbatsim.harness import (
     DEFAULT_SAMPLE_US,
     TraceSet,
@@ -149,6 +150,20 @@ def test_a_packet_lost_inside_the_link_stops_the_run_at_the_next_tick(monkeypatc
     assert t % DEFAULT_SAMPLE_US  # off the tick grid: no tick at t runs before the offer
     tick = (t // DEFAULT_SAMPLE_US + 1) * DEFAULT_SAMPLE_US
     assert str(exc.value) == f"packet conservation violated at t={tick}"
+
+
+# The tick polls a flow's safety timeout only once its last progress is
+# MIN_TIMEOUT_US old. These are the LEDBAT flow's timeouts at full length,
+# recorded while every flow was polled at every tick.
+@pytest.mark.parametrize("sample_us,timeouts", [
+    (10_000, [3_260_000, 4_260_000, 9_470_000, 13_690_000, 17_910_000, 22_130_000,
+              26_350_000, 30_570_000, 34_790_000, 39_010_000]),
+    (250_000, [3_500_000, 7_000_000, 14_250_000, 28_000_000, 40_500_000, 53_250_000,
+               65_000_000, 77_500_000]),
+])
+def test_safety_timeouts_fire_at_the_same_ticks(sample_us, timeouts):
+    result = run_scenario(get_preset("table1-tl-c2-b10-dt2-noss"), sample_us=sample_us)
+    assert [fs.timeouts for fs in result.flow_stats] == [[], timeouts]
 
 
 # -- table orchestration ---------------------------------------------------------
@@ -331,9 +346,107 @@ def test_trace_rows_at_equal_times(tmp_path):
     )
 
 
-def test_trace_writer_holds_no_copy_of_the_trace(tmp_path):
-    # a 30 s fig2a trace is about 27k lines, over 4 MB if held as a list of rows
-    trace = run_scenario(replace(get_preset("fig2a"), duration_s=30.0)).trace
+def _reference_trace_csv(trace, path):
+    """The trace writer as it was before it formatted whole blocks of ticks:
+    one row at a time, each an f-string. The block writer must match its bytes."""
+    events = [(t, f"{t},{fid},drop,{seq}") for t, fid, seq in trace.drops] + [
+        (t, f"{t},{fid},cwnd_pkts,{cwnd_after}")
+        for fid in trace.flow_ids for t, cwnd_after, _ in trace.halvings[fid]]
+    events.sort(key=lambda e: e[0])
+
+    flows = []
+    for fid in trace.flow_ids:
+        base = trace.base_delay_us.get(fid, ())
+        qest = trace.queuing_est_us.get(fid, ())
+        flows.append((fid, trace.cwnd_pkts[fid], base, trace.first_tick(base),
+                      qest, trace.first_tick(qest), trace.delivered_bytes[fid]))
+
+    def lines():
+        k = 0
+        for i, t in enumerate(trace.sample_t_us):
+            while k < len(events) and events[k][0] < t:
+                yield events[k][1]
+                k += 1
+            yield f"{t},link,queue_pkts,{trace.queue_pkts[i]}"
+            for fid, cwnd, base, i_base, qest, i_qest, delivered in flows:
+                yield f"{t},{fid},cwnd_pkts,{cwnd[i]}"
+                if i >= i_base:
+                    yield f"{t},{fid},base_delay_us,{base[i - i_base]}"
+                if i >= i_qest:
+                    yield f"{t},{fid},queuing_est_us,{qest[i - i_qest]}"
+                yield f"{t},{fid},delivery,{delivered[i]}"
+        for _, line in events[k:]:
+            yield line
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t_us,entity,series,value\n")
+        fh.writelines(line + "\n" for line in lines())
+
+
+def _hand_trace(n_ticks, base_from=0, drops=(), halvings=()):
+    """Ticks every 10 us from 0; flow 0 loss-based, flow 1 delay-based with
+    its first base delay at tick `base_from` (none if it is n_ticks)."""
+    tr = TraceSet([0, 1], 10_000_000, 10 * (n_ticks - 1), delay_flow_ids=[1])
+    for i in range(n_ticks):
+        tr.sample_t_us.append(10 * i)
+        tr.queue_pkts.append(i % 5)
+        tr.cwnd_pkts[0].append(1.0 + i / 4)
+        tr.cwnd_pkts[1].append(2.5 + i / 3)
+        if i >= base_from:
+            tr.base_delay_us[1].append(40 + i)
+        tr.queuing_est_us[1].append(i)
+        tr.delivered_bytes[0].append(1500 * i)
+        tr.delivered_bytes[1].append(1000 * i)
+    tr.drops = list(drops)
+    for fid, t, cwnd_after in halvings:
+        tr.halvings[fid].append((t, cwnd_after, 10))
+    return tr
+
+
+# with blocks of 4 ticks: tick 4, at 40 us, starts the second block
+HAND_TRACES = {
+    "event at a tick": _hand_trace(10, drops=[(30, 1, 7)], halvings=[(0, 50, 0.5)]),
+    "events at a block boundary": _hand_trace(
+        10, drops=[(35, 0, 3), (40, 1, 4)], halvings=[(1, 40, 1.5), (0, 80, 2.0)]),
+    "two flows at one instant": _hand_trace(
+        10, drops=[(25, 1, 4), (25, 0, 3)], halvings=[(1, 25, 3.5), (0, 25, 2.0)]),
+    "events after the last tick": _hand_trace(
+        10, drops=[(90, 0, 5), (95, 1, 6), (120, 0, 7)], halvings=[(0, 95, 1.0)]),
+    "delay series starts mid-block": _hand_trace(10, base_from=6, drops=[(45, 1, 2)]),
+    "delay series never starts": _hand_trace(10, base_from=10),
+    "shorter than one block": _hand_trace(3, base_from=1, drops=[(10, 0, 1), (25, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("block_ticks", [1, 4])
+@pytest.mark.parametrize("case", sorted(HAND_TRACES))
+def test_trace_writer_matches_the_row_at_a_time_writer(case, block_ticks, tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(harness, "TRACE_BLOCK_TICKS", block_ticks)
+    trace = HAND_TRACES[case]
+    write_trace_csv(trace, tmp_path / "blocks.csv")
+    _reference_trace_csv(trace, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig3-bottom", "adsl-up-b10-tcp-vs-ledbat"])
+def test_trace_writer_matches_the_row_at_a_time_writer_on_1ms_runs(preset, tmp_path):
+    # the golden digests cover the 10 ms tick only; 60 s reach past
+    # fig3-bottom's late start and hold drops and halvings of both flows
+    trace = run_scenario(replace(get_preset(preset), duration_s=60.0), sample_us=1000).trace
+    assert trace.drops or preset == "fig3-bottom"
+    write_trace_csv(trace, tmp_path / "blocks.csv")
+    _reference_trace_csv(trace, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig3-bottom"])
+def test_trace_writer_holds_no_copy_of_the_trace(preset, tmp_path):
+    # a full-length trace is 30,001 ticks in about 200k lines: over 15 MB if
+    # held as a list of rows, and over 1 MB for its tick times alone.
+    # fig3-bottom has no drop or halving to cut it into blocks.
+    trace = run_scenario(get_preset(preset)).trace
+    assert len(trace.sample_t_us) == 30_001
     tracemalloc.start()
     try:
         write_trace_csv(trace, tmp_path / "trace.csv")
