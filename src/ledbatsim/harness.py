@@ -134,8 +134,9 @@ class _Simulation:
         # Tick k falls at k * sample_us, up to the end. So the tick times are
         # written here, every other series but the base delay gets its full
         # length, and tick k writes entry k through a memoryview: an item
-        # store there costs about half of an array append, which converts
-        # each value through PyArg_Parse.
+        # store there costs 10-17 ns less than one on the array itself, which
+        # converts each value through PyArg_Parse (CPython 3.11, 2-vCPU Xeon
+        # VM: 45 against 55 ns for "q", 40 against 57 ns for "d").
         tr.sample_t_us = array("q", range(0, self.duration_us + 1, sample_us))
         zeros = bytes(8 * len(tr.sample_t_us))
         self._views = []  # released after the run, so that the series can grow again
@@ -210,8 +211,7 @@ class _Simulation:
         # the handlers and the events left queued point back at this
         # simulation, its link and its senders: dropping them leaves no cycle,
         # so the finished run is freed without the cycle collector
-        self.engine._handlers.clear()
-        self.engine._heap.clear()
+        self.engine.clear()
         for v in self._views:
             v.release()
         self.trace.drops = self.link.drops
