@@ -9,11 +9,10 @@ module; it prints nothing itself.
 
 import contextlib
 import io
+import random
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from .harness import RunResult, detect_starvation, extract_check_facts, run_scenario, run_table1
 from .metrics import compute_report, jain_fairness, utilization
@@ -239,21 +238,21 @@ def _criterion_6c():
 
 
 def _criterion_6e(seed: int):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst_rel = 0.0
     bounds_ok = True
     for _ in range(10_000):
-        n = int(rng.integers(1, 9))
-        x = rng.uniform(0.0, 100.0, size=n)
-        if rng.uniform() < 0.2:
-            x[rng.integers(0, n)] = 0.0
-        if not x.any():
+        n = rng.randint(1, 8)
+        x = [rng.uniform(0.0, 100.0) for _ in range(n)]
+        if rng.random() < 0.2:
+            x[rng.randrange(n)] = 0.0
+        if not any(x):
             x[0] = 1.0
         f = jain_fairness(x)
         if not (1.0 / n - 1e-12 <= f <= 1.0 + 1e-12):
             bounds_ok = False
-        k = float(rng.uniform(1e-6, 1e6))
-        rel = abs(jain_fairness(k * x) - f) / f
+        k = rng.uniform(1e-6, 1e6)
+        rel = abs(jain_fairness([k * v for v in x]) - f) / f
         worst_rel = max(worst_rel, rel)
     return {"6e": (f"bounds {'ok' if bounds_ok else 'violated'}, "
                    f"worst relative drift {worst_rel:.2e}",

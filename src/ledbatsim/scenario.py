@@ -6,12 +6,15 @@ and recording it live in harness.py.
 
 A scenario is deterministic given its seed: the only randomness is the second
 flow's start time (a uniform start offset and/or a small start jitter), drawn
-from a named, splittable generator (PCG64 seeded by [base_seed, cell_index,
-run_index]). Only a scenario that draws builds one, so a fixed-start run
-never imports numpy.
+from a named, splittable generator: PCG64 seeded by [base_seed, cell_index,
+run_index]. Only a scenario that draws builds one. `Pcg64` is a pure-Python
+port of numpy's SeedSequence -> PCG64 -> Generator.uniform chain that returns
+the same doubles bit for bit, so a grid run draws numpy's start times without
+loading numpy.
 """
 
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .network import service_time_us
@@ -130,12 +133,88 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be within [0, 2**64) and an int, not {seed!r}")
 
 
-def rng_for_run(base_seed: int, cell_index: int, run_index: int) -> "numpy.random.Generator":
-    """The run-level generator: PCG64 split by (base seed, cell, run index)."""
-    import numpy as np  # about 20 ms and 6 MB that a run which never draws does not pay
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 (pcg_setseq_128,
+# XSL-RR output) constants
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state hash
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
 
-    seq = np.random.SeedSequence([int(base_seed), int(cell_index), int(run_index)])
-    return np.random.Generator(np.random.PCG64(seq))
+
+def _words32(n: int) -> list[int]:
+    """An entropy int as little-endian 32-bit words; 0 is one word."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"entropy must be a non-negative integer, not {n}")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix: a hash whose constant advances on every call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+class Pcg64:
+    """numpy's `Generator(PCG64(SeedSequence(entropy)))`, for `uniform` only."""
+
+    def __init__(self, *entropy: int):
+        words = [w for n in entropy for w in _words32(n)]
+        h = _hasher(_INIT_A, _MULT_A)
+        pool = [h(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], h(pool[src]))
+        for w in words[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], h(w))
+        # generate_state(4, uint64): eight uint32 words read as four
+        # little-endian uint64; the first two are the seed, the last two the
+        # stream, each high word first
+        g = _hasher(_INIT_B, _MULT_B)
+        w32 = [g(pool[i % 4]) for i in range(8)]
+        w64 = [w32[i] | w32[i + 1] << 32 for i in range(0, 8, 2)]
+        self._inc = (w64[2] << 64 | w64[3]) << 1 & _M128 | 1
+        self._state = 0
+        self._step()
+        self._state = (self._state + (w64[0] << 64 | w64[1])) & _M128
+        self._step()
+
+    def _step(self) -> None:
+        self._state = (self._state * _PCG_MULT + self._inc) & _M128
+
+    def _next64(self) -> int:
+        """The next uint64: XSL-RR of the stepped state."""
+        self._step()
+        s = self._state
+        x = (s >> 64 ^ s) & _M64
+        rot = s >> 122
+        return (x >> rot | x << (-rot & 63)) & _M64
+
+    def uniform(self, low: float, high: float) -> float:
+        """A float in [low, high), as `Generator.uniform` draws it."""
+        return low + (high - low) * ((self._next64() >> 11) * 2.0**-53)
+
+
+def rng_for_run(base_seed: int, cell_index: int, run_index: int) -> Pcg64:
+    """The run-level generator: PCG64 split by (base seed, cell, run index)."""
+    return Pcg64(base_seed, cell_index, run_index)
 
 
 def resolve_starts(scenario: Scenario, base_seed: int, cell_index: int,
@@ -147,9 +226,9 @@ def resolve_starts(scenario: Scenario, base_seed: int, cell_index: int,
     if len(flows) > 1 and (uniform or scenario.start_jitter_s > 0):
         rng = rng_for_run(base_seed, cell_index, run_index)
         if uniform:
-            flows[1].start_s = float(rng.uniform(0.0, UNIFORM_START_MAX_S))
+            flows[1].start_s = rng.uniform(0.0, UNIFORM_START_MAX_S)
         else:
-            flows[1].start_s += float(rng.uniform(0.0, scenario.start_jitter_s))
+            flows[1].start_s += rng.uniform(0.0, scenario.start_jitter_s)
     return replace(scenario, flows=flows, delta_t_mode="fixed", start_jitter_s=0.0)
 
 

@@ -178,25 +178,36 @@ def test_table1_usage_error_creates_no_out_directory(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
-FIXED_START_RUN = """
+NO_NUMPY = """
 import sys
-from ledbatsim import cli
-assert cli.main(sys.argv[1:]) == 0
+if sys.argv[1:] == ["import-acceptance"]:
+    import ledbatsim.acceptance
+else:
+    from ledbatsim import cli
+    assert cli.main(sys.argv[1:]) == 0
 loaded = sorted(m for m in ("numpy", "numpy.random") if m in sys.modules)
 assert loaded == [], loaded
 """
 
 
-def test_fixed_start_run_never_imports_numpy(tmp_path, scn_file):
-    # in a fresh interpreter: this one has loaded numpy for other tests
+@pytest.mark.parametrize("what", ["fixed-start run", "drawing table1", "import acceptance"])
+def test_runs_draws_and_acceptance_never_import_numpy(tmp_path, scn_file, what):
+    # in a fresh interpreter: this one may have loaded numpy for other tests
+    argv = {
+        "fixed-start run": ["run", "--scenario", str(scn_file), "--out", str(tmp_path / "o")],
+        "drawing table1": ["table1", "--cells=-c2-", "--runs", "1", "--jobs", "1",
+                           "--out", str(tmp_path / "o")],
+        "import acceptance": ["import-acceptance"],
+    }[what]
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", FIXED_START_RUN, "run", "--scenario", str(scn_file),
-         "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "o" / "cli-probe-trace.csv").exists()
+    if what == "fixed-start run":
+        assert (tmp_path / "o" / "cli-probe-trace.csv").exists()
+    elif what == "drawing table1":
+        assert (tmp_path / "o" / "table1.csv").exists()
 
 
 def test_table1_has_no_sample_period(tmp_path, capsys):

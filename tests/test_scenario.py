@@ -1,9 +1,10 @@
 """Scenario model and bounds, start resolution, presets, scenario files."""
 
+import random
+import statistics
 from dataclasses import fields, replace
 from decimal import Decimal
 
-import numpy as np
 import pytest
 
 from ledbatsim import scenario
@@ -154,6 +155,61 @@ def test_table_grid_order_is_frozen():
 # -- start resolution ----------------------------------------------------------
 
 
+# (base seed, cell, run, first three U(0, 10) draws), recorded from numpy 2.4.6's
+# Generator(PCG64(SeedSequence([base, cell, run]))).uniform(0.0, 10.0) before
+# the pure-Python port replaced it. Base seeds span the extremes; the last two
+# rows have an index of 2**32 or more, so their entropy has more than one word
+# per int.
+NUMPY_DRAWS = [
+    (0, 0, 0, [6.369616873214543, 2.697867137638703, 0.4097352393619469]),
+    (0, 4, 2, [5.729940126661102, 9.151467268336155, 5.912416272379374]),
+    (7, 4, 2, [7.724929607883628, 0.4298977735649856, 7.426789216901789]),
+    (3, 23, 0, [2.9535893986808217, 9.54704178332159, 9.007415804156098]),
+    (1, 0, 1, [6.922753364723952, 2.2334387706847014, 8.096203142218423]),
+    (2**32 - 1, 1, 0, [8.923705960062671, 9.114926941701697, 8.96089367801421]),
+    (2**32, 2, 3, [6.0148452142816025, 5.486316869276056, 8.307327466820285]),
+    (2**63, 5, 9, [8.40224825503459, 2.2323600084360318, 5.096941997450691]),
+    (2**64 - 1, 23, 19, [5.037268787962205, 5.364123234862001, 0.38021645623904754]),
+    (2**64 - 1, 0, 0, [6.800266789616931, 8.453117585624742, 0.07403081599260064]),
+    (12345, 2**32, 0, [9.798065138848989, 2.3274412229227694, 4.387062298973497]),
+    (9, 7, 2**32 + 1, [8.63711861999507, 7.1309828633980255, 1.6624740256034032]),
+]
+
+
+@pytest.mark.parametrize("base, cell, run, draws", NUMPY_DRAWS)
+def test_rng_reproduces_numpy_draws(base, cell, run, draws):
+    rng = rng_for_run(base, cell, run)
+    assert [rng.uniform(0.0, 10.0) for _ in draws] == draws
+
+
+def test_rng_matches_numpy_live():
+    np = pytest.importorskip("numpy")
+    r = random.Random(16)
+    for _ in range(300):
+        key = [r.randrange(2**64), r.randrange(2**r.randrange(1, 40)), r.randrange(64)]
+        low = r.uniform(-5.0, 5.0)
+        high = low + r.uniform(0.0, 20.0)
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+        rng = rng_for_run(*key)
+        for _ in range(3):
+            assert rng.uniform(low, high) == float(ref.uniform(low, high)), key
+
+
+@pytest.mark.parametrize("key", [(-1, 0, 0), (0, -1, 0), (0, 0, -2**64)])
+def test_rng_refuses_negative_entropy(key):
+    with pytest.raises(ValueError, match="non-negative"):
+        rng_for_run(*key)
+
+
+def test_rng_draws_floats_within_bounds():
+    rng = rng_for_run(2**64 - 1, 23, 19)
+    for low, high in ((0.0, 10.0), (0.0, 0.1), (-3.0, 2.0), (5.0, 5.0)):
+        for _ in range(200):
+            x = rng.uniform(low, high)
+            assert type(x) is float
+            assert low <= x < high or x == low == high
+
+
 def test_rng_split_is_stable_and_disjoint():
     a = rng_for_run(7, 3, 0).uniform(0, 10)
     b = rng_for_run(7, 3, 0).uniform(0, 10)
@@ -166,7 +222,7 @@ def test_uniform_mode_draws_second_start():
     scn = _tiny(duration_s=60.0, delta_t_mode="uniform")
     draws = [resolve_starts(scn, 0, 0, i).flows[1].start_s for i in range(10_000)]
     assert all(0.0 <= d < 10.0 for d in draws)
-    assert abs(float(np.mean(draws)) - 5.0) < 0.15
+    assert abs(statistics.fmean(draws) - 5.0) < 0.15
     resolved = resolve_starts(scn, 0, 0, 0)
     assert resolved.delta_t_mode == "fixed"  # a resolved scenario re-runs as-is
     assert resolved.flows[0].start_s == 0.0
