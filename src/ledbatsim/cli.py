@@ -8,12 +8,10 @@ Subcommands:
     check   the acceptance suite; prints one PASS/FAIL line per criterion
 
 Exit codes: 0 success, 1 acceptance failure, 2 usage or configuration error.
-`LEDBATSIM_OUT_DIR`, when set, overrides any --out directory.
 """
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,11 +31,6 @@ from .scenario import UsageError, load_scenario, preset_names
 
 FIG2_PRESETS = ["fig2a", "fig2b", "tcp-alone-hs-b40"]
 FIG3_PRESETS = ["fig3-top", "fig3-mid", "fig3-bottom"]
-
-
-def _out_dir(args) -> Path:
-    env = os.environ.get("LEDBATSIM_OUT_DIR")
-    return Path(env) if env else Path(args.out)
 
 
 def _prepare_paths(out_dir: Path, names, force: bool) -> list[Path]:
@@ -73,7 +66,7 @@ def _run_and_write(targets, args) -> int:
             check_sample_us(sample_us, scenario.duration_us)
         except UsageError as exc:
             raise UsageError(f"--sample-ms {args.sample_ms:g} for {scenario.name}: {exc}") from None
-    paths = _prepare_paths(_out_dir(args), [f"{s.name}-{kind}.csv" for s in scenarios
+    paths = _prepare_paths(Path(args.out), [f"{s.name}-{kind}.csv" for s in scenarios
                                             for kind in ("trace", "summary")], args.force)
     for scenario, trace_path, summary_path in zip(scenarios, paths[::2], paths[1::2]):
         result = run_scenario(scenario, sample_us=sample_us)
@@ -102,7 +95,7 @@ def cmd_fig3(args) -> int:
 def cmd_table1(args) -> int:
     cells = args.cells or None
     select_table1_cells(args.seed, cells)  # its usage errors come before any write
-    (table_path,) = _prepare_paths(_out_dir(args), ["table1.csv"], args.force)
+    (table_path,) = _prepare_paths(Path(args.out), ["table1.csv"], args.force)
     summaries, _ = run_table1(
         args.runs, args.seed, jobs=args.jobs, cells=cells,
         progress=(lambda done, total: print(f"  {done}/{total} runs")) if args.verbose else None,

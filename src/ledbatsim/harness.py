@@ -16,8 +16,9 @@ from itertools import repeat
 from .engine import Engine, EventKind
 from .ledbat import LedbatFlow
 from .metrics import MetricsReport, aggregate_runs, compute_report
-from .network import AckPath, Bottleneck, service_time_us
-from .scenario import Scenario, UsageError, check_seed, resolve_starts, table1_cells
+from .network import AckPath, Bottleneck
+from .scenario import (Scenario, UsageError, check_seed, resolve_starts, service_time_us,
+                       table1_cells)
 from .tcp import TcpFlow
 from .transport import MIN_TIMEOUT_US, Receiver, SenderBase
 
@@ -124,9 +125,8 @@ class _Simulation:
         self.receivers = []
         for fid, spec in enumerate(scenario.flows):
             sender_cls = LedbatFlow if spec.kind == "ledbat" else TcpFlow
-            self.senders.append(
-                sender_cls(self.engine, fid, self.link, scenario.packet_bytes, spec))
-            self.receivers.append(Receiver(fid, spec.clock_offset_us))
+            self.senders.append(sender_cls(self.engine, fid, self.link, spec))
+            self.receivers.append(Receiver(spec.clock_offset_us))
 
         ledbats = [s for s in self.senders if s.kind == "ledbat"]
         tr = self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps,
@@ -180,16 +180,17 @@ class _Simulation:
         queued = queue[k] = len(link.queue)
         n_offered = offered[k] = link.offered
         n_dropped = dropped[k] = len(link.drops)
-        bytes_by_flow = link.bytes_by_flow
+        by_flow = link.delivered_by_flow
+        packet_bytes = self.scenario.packet_bytes  # the link counts packets
         for s, cwnd, delivered in self._flow_views:
             cwnd[k] = s.cwnd
-            delivered[k] = bytes_by_flow.get(s.flow_id, 0)
+            delivered[k] = by_flow.get(s.flow_id, 0) * packet_bytes
         for s, store_base, qest in self._delay_views:
             base = s.base_delay_us
             if base is not None:  # once set by the first delay sample, it stays set
                 store_base(base)
             qest[k] = s.queuing_delay_est_us
-        # Bottleneck.conservation_ok, on the counts just stored
+        # the link's conservation identity, on the counts just stored
         if n_offered != link.delivered + n_dropped + queued:
             self.trace.conservation_ok = False
             raise RuntimeError(f"packet conservation violated at t={now}")

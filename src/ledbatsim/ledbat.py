@@ -69,10 +69,8 @@ class LedbatFlow(SenderBase):
 
     kind = "ledbat"
 
-    def __init__(
-        self, engine: Engine, flow_id: int, link: Bottleneck, packet_bytes: int, spec: FlowSpec
-    ):
-        super().__init__(engine, flow_id, link, packet_bytes)
+    def __init__(self, engine: Engine, flow_id: int, link: Bottleneck, spec: FlowSpec):
+        super().__init__(engine, flow_id, link)
         # read on every ack, so held as plain attributes
         self.target_us = spec.target_us
         self.pacing = spec.pacing

@@ -1,10 +1,11 @@
 """Network path: drop-tail FIFO bottleneck on the data direction, clean fixed-delay
 return path for acks.
 
-Every data packet of a run has the scenario's packet_bytes and acks never reach
-the link, so the link serves each packet in the run's one service_us, exact in
-integers (bytes * 8 * 1e6 // bps: 1500 B take 1200 us at 10 Mbps, 24000 us at
-500 kbps). Its deque's head is the packet in service, which takes no buffer slot.
+The link deals in packets only. The packet size has one owner, the scenario:
+the harness turns its one size into the link's service_us (see
+scenario.service_time_us) and the link's delivered counts into the trace's
+bytes, so a packet carries no size. Acks never reach the link. Its deque's
+head is the packet in service, which takes no buffer slot.
 """
 
 from collections import deque
@@ -17,7 +18,6 @@ from .engine import Engine, EventKind
 class Packet:
     flow_id: int
     seq: int
-    size_bytes: int
     sent_at_sender_clock: int
     is_ack: bool = False
     ack_of_seq: int = 0
@@ -29,10 +29,6 @@ PACKET_ARRIVAL = EventKind.PACKET_ARRIVAL
 LINK_SERVICE_DONE = EventKind.LINK_SERVICE_DONE
 
 
-def service_time_us(size_bytes: int, rate_bps: int) -> int:
-    return size_bytes * 8 * 1_000_000 // rate_bps
-
-
 class Bottleneck:
     """Drop-tail FIFO of buffer_pkts waiting slots; the link serves each packet in service_us.
 
@@ -40,7 +36,7 @@ class Bottleneck:
     A packet that completes service is counted delivered and handed to the far
     end after prop_delay_us. Counters satisfy
         offered == delivered + len(drops) + len(queue)
-    at all times.
+    at all times, which the harness's sampling tick checks.
     """
 
     def __init__(
@@ -59,7 +55,7 @@ class Bottleneck:
 
         self.offered = 0
         self.delivered = 0
-        self.bytes_by_flow: dict[int, int] = {}  # cumulative delivered bytes
+        self.delivered_by_flow: dict[int, int] = {}  # cumulative delivered packets
         self.drops: list[tuple[int, int, int]] = []  # (t_us, flow_id, seq)
 
         engine.register(EventKind.LINK_SERVICE_DONE, self._service_done)
@@ -82,16 +78,13 @@ class Bottleneck:
         pkt = queue.popleft()
         self.delivered += 1
         fid = pkt.flow_id
-        bytes_by_flow = self.bytes_by_flow
-        bytes_by_flow[fid] = bytes_by_flow.get(fid, 0) + pkt.size_bytes
+        by_flow = self.delivered_by_flow
+        by_flow[fid] = by_flow.get(fid, 0) + 1
         engine = self.engine
         now = engine.now
         engine.schedule(now + self.prop_delay_us, PACKET_ARRIVAL, pkt)
         if queue:
             engine.schedule(now + self.service_us, LINK_SERVICE_DONE)
-
-    def conservation_ok(self) -> bool:
-        return self.offered == self.delivered + len(self.drops) + len(self.queue)
 
 
 class AckPath:

@@ -17,7 +17,6 @@ import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .network import service_time_us
 from .transport import FlowSpec
 
 UNIFORM_START_MAX_S = 10.0  # delta_t_mode "uniform" draws the second start from U(0, this)
@@ -48,6 +47,12 @@ def _check_numbers(obj, where: str) -> None:
             raise ValidationError(f"{where}{f.name} must be a finite number")
         if f.type is int and type(value) is not int:  # a bool is an int subclass
             raise ValidationError(f"{where}{f.name} must be an int, not {value!r}")
+
+
+def service_time_us(packet_bytes: int, rate_bps: int) -> int:
+    """The link's time to serve one packet, exact in integers: 1500 B take
+    1200 us at 10 Mbps, 24000 us at 500 kbps."""
+    return packet_bytes * 8 * 1_000_000 // rate_bps
 
 
 @dataclass

@@ -15,10 +15,8 @@ from .transport import MIN_CWND_PKTS, FlowSpec, SenderBase
 class TcpFlow(SenderBase):
     kind = "tcp"
 
-    def __init__(
-        self, engine: Engine, flow_id: int, link: Bottleneck, packet_bytes: int, spec: FlowSpec
-    ):
-        super().__init__(engine, flow_id, link, packet_bytes)
+    def __init__(self, engine: Engine, flow_id: int, link: Bottleneck, spec: FlowSpec):
+        super().__init__(engine, flow_id, link)
         self.ss_active = spec.slow_start
 
     def on_new_ack(self, ack: Packet, newly_acked: int, now: int) -> None:

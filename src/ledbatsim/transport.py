@@ -1,9 +1,12 @@
 """Endpoint machinery shared by both controllers.
 
-Receiver: turns every arriving data packet into its ack, which carries the
-cumulative in-order sequence and the one-way delay measured on the receiver's
-own clock. The ack is the data packet's own object, rewritten in place: nothing
-holds a delivered packet, so one object serves each transmission.
+Receiver: turns every arriving data packet into its ack. The ack is the data
+packet's own object, rewritten in place: nothing holds a delivered packet, so
+one object serves each transmission. It keeps the data's flow_id, which routes
+it back to its sender, and adds what the sender reads: is_ack, the cumulative
+in-order sequence (ack_of_seq) and the one-way delay measured on the
+receiver's own clock (measured_delay_us). Its other fields are left as the
+data packet had them and are not read.
 
 SenderBase: sequencing, window gating, loss detection, and retransmission.
 Loss is inferred from 3 duplicate cumulative acks (plus a coarse safety
@@ -12,6 +15,10 @@ deadlock case). While a recovery episode is open, each partial cumulative
 advance retransmits the next hole immediately; there is no fast-recovery
 window inflation anywhere. Window halving is rate-limited to once per
 smoothed RTT by the controller subclasses via _halve().
+
+Both window laws count packets, and nothing here knows a packet's size: the
+scenario's one packet size reaches only the link's service time and the
+trace's delivered bytes, both set by the harness.
 
 Flightsize is next_seq-1-highest_acked: packets sent and not yet cumulatively
 acked, including any that were dropped but not yet recovered. A new send
@@ -26,7 +33,6 @@ from dataclasses import dataclass
 from .engine import Engine, EventKind
 from .network import Bottleneck, Packet
 
-ACK_BYTES = 40
 DUPACK_THRESHOLD = 3
 MIN_TIMEOUT_US = 1_000_000
 MIN_CWND_PKTS = 1.0  # window floor, in packets, for both controllers
@@ -65,8 +71,7 @@ class Receiver:
     It turns each delivered data packet into that packet's ack in place.
     """
 
-    def __init__(self, flow_id: int, clock_offset_us: int = 0):
-        self.flow_id = flow_id
+    def __init__(self, clock_offset_us: int = 0):
         self.clock_offset_us = clock_offset_us
         self.highest_in_order = 0
         self._buffered: set[int] = set()
@@ -90,9 +95,6 @@ class Receiver:
         elif seq > expected:
             self._buffered.add(seq)
         # else: stale duplicate, still re-ack the cumulative point
-        pkt.seq = 0
-        pkt.size_bytes = ACK_BYTES
-        pkt.sent_at_sender_clock = now
         pkt.is_ack = True
         pkt.ack_of_seq = self.highest_in_order
         pkt.measured_delay_us = measured
@@ -104,11 +106,10 @@ class SenderBase:
 
     kind = "base"
 
-    def __init__(self, engine: Engine, flow_id: int, link: Bottleneck, packet_bytes: int):
+    def __init__(self, engine: Engine, flow_id: int, link: Bottleneck):
         self.engine = engine
         self.flow_id = flow_id
         self.link = link
-        self.packet_bytes = packet_bytes
 
         self.cwnd = MIN_CWND_PKTS
         self.next_seq = 1
@@ -165,7 +166,7 @@ class SenderBase:
                 gap = self.pacing_gap_us()
             seq = self.next_seq
             self._send_times[seq] = now
-            self.link.enqueue(Packet(self.flow_id, seq, self.packet_bytes, now))
+            self.link.enqueue(Packet(self.flow_id, seq, now))
             self.next_seq = seq + 1
             self._next_send_at = now + gap
 
@@ -177,7 +178,7 @@ class SenderBase:
     def _retransmit(self, seq: int, now: int) -> None:
         self._send_times[seq] = now
         self.retransmits += 1
-        self.link.enqueue(Packet(self.flow_id, seq, self.packet_bytes, now))
+        self.link.enqueue(Packet(self.flow_id, seq, now))
 
     # -- receiving ---------------------------------------------------------
 

@@ -30,11 +30,6 @@ def scn_file(tmp_path):
     return p
 
 
-@pytest.fixture(autouse=True)
-def _no_env_out(monkeypatch):
-    monkeypatch.delenv("LEDBATSIM_OUT_DIR", raising=False)
-
-
 def test_list_presets(capsys):
     assert cli.main(["run", "--list"]) == 0
     out = capsys.readouterr().out.split()
@@ -240,14 +235,6 @@ def test_run_requires_a_target(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run"])
     assert exc.value.code == 2
-
-
-def test_env_var_overrides_out_dir(tmp_path, scn_file, monkeypatch):
-    monkeypatch.setenv("LEDBATSIM_OUT_DIR", str(tmp_path / "env"))
-    assert cli.main(["run", "--scenario", str(scn_file), "--out",
-                     str(tmp_path / "flag")]) == 0
-    assert (tmp_path / "env" / "cli-probe-trace.csv").exists()
-    assert not (tmp_path / "flag").exists()
 
 
 def test_table_subcommand_writes_csv(tmp_path, capsys):

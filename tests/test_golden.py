@@ -144,8 +144,7 @@ FULL_LENGTH = {
 
 
 @pytest.mark.parametrize("workload", sorted(FULL_LENGTH))
-def test_full_length_output_matches_bench_pins(workload, tmp_path, monkeypatch):
-    monkeypatch.delenv("LEDBATSIM_OUT_DIR", raising=False)
+def test_full_length_output_matches_bench_pins(workload, tmp_path):
     # the cut runs above end at 30 s; this covers the late drops and ties
     argv, keys = FULL_LENGTH[workload]
     pinned = json.loads((ROOT / "bench" / "pinned.json").read_text())

@@ -130,23 +130,28 @@ def test_run_scenario_frees_its_run_without_the_cycle_collector():
         gc.enable()
 
 
-def test_a_packet_lost_inside_the_link_stops_the_run_at_the_next_tick(monkeypatch):
+@pytest.mark.parametrize("fault", ["lost", "doubled"])
+def test_a_packet_lost_inside_the_link_stops_the_run_at_the_next_tick(monkeypatch, fault):
     enqueue = Bottleneck.enqueue
-    lost_at = []
+    faulted_at = []
 
-    def leaky_enqueue(self, pkt):
+    def faulty_enqueue(self, pkt):
         # from the 100th offer on, the first the link would accept is
-        # counted as offered and then never queued
-        if not lost_at and self.offered >= 99 and len(self.queue) <= self.buffer_pkts:
-            self.offered += 1
-            lost_at.append(self.engine.now)
+        # counted as offered once and then never queued, or queued twice
+        if not faulted_at and self.offered >= 99 and len(self.queue) <= self.buffer_pkts:
+            faulted_at.append(self.engine.now)
+            if fault == "lost":
+                self.offered += 1
+            else:
+                enqueue(self, pkt)
+                self.queue.append(pkt)
             return True
         return enqueue(self, pkt)
 
-    monkeypatch.setattr(Bottleneck, "enqueue", leaky_enqueue)
+    monkeypatch.setattr(Bottleneck, "enqueue", faulty_enqueue)
     with pytest.raises(RuntimeError) as exc:
         run_scenario(_tiny(duration_s=5.0))
-    (t,) = lost_at
+    (t,) = faulted_at
     assert t % DEFAULT_SAMPLE_US  # off the tick grid: no tick at t runs before the offer
     tick = (t // DEFAULT_SAMPLE_US + 1) * DEFAULT_SAMPLE_US
     assert str(exc.value) == f"packet conservation violated at t={tick}"

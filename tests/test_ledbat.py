@@ -9,7 +9,7 @@ from ledbatsim.engine import Engine
 from ledbatsim.ledbat import SLOT_US, BaseDelayHistory, LedbatFlow
 from ledbatsim.network import Packet
 from ledbatsim.tcp import TcpFlow
-from ledbatsim.transport import ACK_BYTES, FlowSpec
+from ledbatsim.transport import FlowSpec
 
 
 class _FakeLink:
@@ -22,13 +22,13 @@ class _FakeLink:
 
 
 def _flow(cwnd=10.0, **spec_kwargs):
-    flow = LedbatFlow(Engine(), 0, _FakeLink(), 1500, FlowSpec("ledbat", **spec_kwargs))
+    flow = LedbatFlow(Engine(), 0, _FakeLink(), FlowSpec("ledbat", **spec_kwargs))
     flow.cwnd = cwnd
     return flow
 
 
 def _ack(delay_us, acked=1):
-    return Packet(0, 0, ACK_BYTES, 0, is_ack=True, ack_of_seq=acked,
+    return Packet(0, 0, 0, is_ack=True, ack_of_seq=acked,
                   measured_delay_us=delay_us)
 
 
@@ -88,9 +88,9 @@ def test_custom_gain_scales_the_step():
 
 def test_pinned_estimator_degenerates_to_loss_based_law():
     eng = Engine()
-    led = LedbatFlow(eng, 0, _FakeLink(), 1500,
+    led = LedbatFlow(eng, 0, _FakeLink(),
                      FlowSpec("ledbat", pacing=False, pin_zero_queuing_delay=True))
-    tcp = TcpFlow(eng, 1, _FakeLink(), 1500, FlowSpec("tcp"))
+    tcp = TcpFlow(eng, 1, _FakeLink(), FlowSpec("tcp"))
     led.cwnd = tcp.cwnd = 2.0
     for i in range(1000):
         delay = 50_000 + (i * 7919) % 40_000  # estimator input is ignored

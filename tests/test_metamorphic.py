@@ -5,9 +5,13 @@ what lets the golden digests and the benchmark's smoke mode stand for full
 runs. Relabel: reversing the flow list of a late-start pair mirrors every
 per-flow series and leaves the link's series alone. Co-started flows are the
 exception to relabelling: at equal start times the flow-list order breaks the
-tie, and flow 0 transmits first.
+tie, and flow 0 transmits first. Scale: the window laws count packets and the
+link serves each in packet_bytes * 8 / capacity_bps, so multiplying both by
+the same k leaves every event where it was and multiplies only the delivered
+bytes; that holds only while the packet size has one owner.
 """
 
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -62,6 +66,29 @@ def test_reversing_the_flow_list_mirrors_a_late_start_pair(preset):
         assert _per_tick(rev, name) == mirrored, name
     assert rev.drops == [(t, last - fid, seq) for t, fid, seq in fwd.drops]
     assert {last - fid: h for fid, h in fwd.halvings.items()} == rev.halvings
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig3-bottom", "adsl-up-b10-tcp-vs-ledbat"])
+def test_scaling_rate_and_packet_size_together_scales_only_the_bytes(preset):
+    scn = replace(get_preset(preset), duration_s=30.0)
+    base = run_scenario(scn)
+    a = base.trace
+    assert all(series[-1] > 0 for series in a.delivered_bytes.values())
+    for k in (2, 3):
+        scaled = run_scenario(replace(scn, capacity_bps=k * scn.capacity_bps,
+                                      packet_bytes=k * scn.packet_bytes))
+        b = scaled.trace
+        for name in LINK_SERIES:
+            assert getattr(b, name) == getattr(a, name), (k, name)
+        for name in ("cwnd_pkts", "base_delay_us", "queuing_est_us"):
+            assert getattr(b, name) == getattr(a, name), (k, name)
+        assert b.delivered_bytes == {
+            fid: array("q", (k * v for v in series)) for fid, series in a.delivered_bytes.items()}
+        assert b.drops == a.drops, k
+        assert b.halvings == a.halvings, k
+        m, n = base.metrics, scaled.metrics
+        assert (n.eta_percent, n.fairness, n.loss_rate) == (
+            m.eta_percent, m.fairness, m.loss_rate), k
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -5,7 +5,7 @@ import pytest
 from ledbatsim.engine import Engine
 from ledbatsim.network import Packet
 from ledbatsim.tcp import TcpFlow
-from ledbatsim.transport import ACK_BYTES, FlowSpec
+from ledbatsim.transport import FlowSpec
 
 
 class _FakeLink:
@@ -14,13 +14,13 @@ class _FakeLink:
 
 
 def _flow(cwnd=10.0, **spec_kwargs):
-    flow = TcpFlow(Engine(), 0, _FakeLink(), 1500, FlowSpec("tcp", **spec_kwargs))
+    flow = TcpFlow(Engine(), 0, _FakeLink(), FlowSpec("tcp", **spec_kwargs))
     flow.cwnd = cwnd
     return flow
 
 
 def _ack(acked=1):
-    return Packet(0, 0, ACK_BYTES, 0, is_ack=True, ack_of_seq=acked)
+    return Packet(0, 0, 0, is_ack=True, ack_of_seq=acked)
 
 
 def test_congestion_avoidance_increment_is_exactly_reciprocal():

@@ -11,7 +11,7 @@ from ledbatsim.engine import Engine, EventKind
 from ledbatsim.ledbat import LedbatFlow
 from ledbatsim.network import Packet
 from ledbatsim.scenario import get_preset
-from ledbatsim.transport import ACK_BYTES, Receiver, SenderBase
+from ledbatsim.transport import Receiver, SenderBase
 
 
 class _FakeLink:
@@ -39,7 +39,7 @@ class _Recorder(SenderBase):
     """Controller stub: fixed window, records the hook calls."""
 
     def __init__(self, engine, link, cwnd=10.0):
-        super().__init__(engine, 0, link, 1500)
+        super().__init__(engine, 0, link)
         self.cwnd = cwnd
         self.new_acks = []
         self.losses = []
@@ -52,7 +52,7 @@ class _Recorder(SenderBase):
 
 
 def _ack(acked, delay=30_000):
-    return Packet(0, 0, ACK_BYTES, 0, is_ack=True, ack_of_seq=acked,
+    return Packet(0, 0, 0, is_ack=True, ack_of_seq=acked,
                   measured_delay_us=delay)
 
 
@@ -60,43 +60,42 @@ def _ack(acked, delay=30_000):
 
 
 def test_receiver_acks_cumulative_in_order():
-    rx = Receiver(0)
-    acks = [rx.on_data(Packet(0, s, 1500, 0), now=1000 * s).ack_of_seq for s in (1, 2, 3)]
+    rx = Receiver()
+    acks = [rx.on_data(Packet(0, s, 0), now=1000 * s).ack_of_seq for s in (1, 2, 3)]
     assert acks == [1, 2, 3]
 
 
 def test_receiver_holds_out_of_order_then_releases():
-    rx = Receiver(0)
-    assert rx.on_data(Packet(0, 1, 1500, 0), 0).ack_of_seq == 1
-    assert rx.on_data(Packet(0, 3, 1500, 0), 0).ack_of_seq == 1  # hole at 2
-    assert rx.on_data(Packet(0, 4, 1500, 0), 0).ack_of_seq == 1
-    assert rx.on_data(Packet(0, 2, 1500, 0), 0).ack_of_seq == 4  # run released
+    rx = Receiver()
+    assert rx.on_data(Packet(0, 1, 0), 0).ack_of_seq == 1
+    assert rx.on_data(Packet(0, 3, 0), 0).ack_of_seq == 1  # hole at 2
+    assert rx.on_data(Packet(0, 4, 0), 0).ack_of_seq == 1
+    assert rx.on_data(Packet(0, 2, 0), 0).ack_of_seq == 4  # run released
 
 
 def test_receiver_stamps_delay_on_its_own_clock():
-    rx = Receiver(0, clock_offset_us=7_000_000)
-    ack = rx.on_data(Packet(0, 1, 1500, sent_at_sender_clock=100), now=30_100)
+    rx = Receiver(clock_offset_us=7_000_000)
+    ack = rx.on_data(Packet(0, 1, sent_at_sender_clock=100), now=30_100)
     assert ack.measured_delay_us == 30_000 + 7_000_000
-    rx_neg = Receiver(0, clock_offset_us=-7_000_000)
-    ack = rx_neg.on_data(Packet(0, 1, 1500, sent_at_sender_clock=100), now=30_100)
+    rx_neg = Receiver(clock_offset_us=-7_000_000)
+    ack = rx_neg.on_data(Packet(0, 1, sent_at_sender_clock=100), now=30_100)
     assert ack.measured_delay_us == 30_000 - 7_000_000  # negative is fine
 
 
 def test_receiver_turns_the_data_packet_into_its_ack():
-    rx = Receiver(3, clock_offset_us=-500)
-    pkt = Packet(3, 1, 1500, sent_at_sender_clock=100)
+    rx = Receiver(clock_offset_us=-500)
+    pkt = Packet(3, 1, sent_at_sender_clock=100)
     ack = rx.on_data(pkt, now=30_100)
     assert ack is pkt
-    assert (ack.flow_id, ack.seq, ack.size_bytes, ack.sent_at_sender_clock) == (3, 0, ACK_BYTES,
-                                                                                 30_100)
+    assert ack.flow_id == 3  # routes the ack back to its sender
     assert (ack.is_ack, ack.ack_of_seq, ack.measured_delay_us) == (True, 1, 30_000 - 500)
 
 
 def test_receiver_reacks_stale_duplicate():
-    rx = Receiver(0)
-    rx.on_data(Packet(0, 1, 1500, 0), 0)
-    rx.on_data(Packet(0, 2, 1500, 0), 0)
-    assert rx.on_data(Packet(0, 1, 1500, 0), 0).ack_of_seq == 2
+    rx = Receiver()
+    rx.on_data(Packet(0, 1, 0), 0)
+    rx.on_data(Packet(0, 2, 0), 0)
+    assert rx.on_data(Packet(0, 1, 0), 0).ack_of_seq == 2
 
 
 # -- sender ------------------------------------------------------------------
