@@ -36,30 +36,35 @@ TRACE_BLOCK_TICKS = 128  # ticks the trace writer formats at once, which bounds 
 class TraceSet:
     """Columnar per-run trace: fixed-cadence samples plus event rows.
 
+    The trace lays itself out. Tick k falls at k * sample_us, up to
+    duration_us: the constructor fills the tick times and allocates every
+    full-length series, zeroed, and the run's tick k writes entry k of each.
     Sampled series are 8-byte typed arrays, `array("q")` of ints except the
-    window, `array("d")`. One entry per tick: the tick times, link queue
-    occupancy and cumulative counters, and per flow the window and the
-    cumulative delivered bytes. The delay estimates exist only for the flows
-    in `delay_flow_ids` (the LEDBAT flows), and each covers the trace's last
-    len(series) ticks, from `first_tick(series)` on: `queuing_est_us` every
-    tick, `base_delay_us` the ticks after the flow's first delay sample.
-    Event rows: drops (exact times) and window halvings. Safety timeouts are
-    in RunResult.flow_stats.
+    window, `array("d")`. Full length: the link queue occupancy and
+    cumulative counters, and per flow the window and the cumulative delivered
+    bytes. The delay estimates exist only for the flows in `delay_flow_ids`
+    (the LEDBAT flows), and each covers the trace's last len(series) ticks,
+    from `first_tick(series)` on: `queuing_est_us` every tick, and
+    `base_delay_us`, empty at first, the ticks after the flow's first delay
+    sample, one entry appended by each.
+    Event rows: drops (exact times) and window halvings, handed over when the
+    run ends. Safety timeouts are in RunResult.flow_stats.
     """
 
-    def __init__(self, flow_ids, capacity_bps, duration_us, delay_flow_ids=()):
+    def __init__(self, flow_ids, capacity_bps, duration_us, sample_us, delay_flow_ids=()):
         self.flow_ids = list(flow_ids)
         self.capacity_bps = capacity_bps
         self.duration_us = duration_us
 
-        self.sample_t_us = array("q")
-        self.queue_pkts = array("q")
-        self.link_offered = array("q")
-        self.link_dropped = array("q")
-        self.cwnd_pkts = {fid: array("d") for fid in self.flow_ids}
+        self.sample_t_us = array("q", range(0, duration_us + 1, sample_us))
+        n = len(self.sample_t_us)
+        self.queue_pkts = array("q", [0]) * n
+        self.link_offered = array("q", [0]) * n
+        self.link_dropped = array("q", [0]) * n
+        self.cwnd_pkts = {fid: array("d", [0]) * n for fid in self.flow_ids}
         self.base_delay_us = {fid: array("q") for fid in delay_flow_ids}
-        self.queuing_est_us = {fid: array("q") for fid in delay_flow_ids}
-        self.delivered_bytes = {fid: array("q") for fid in self.flow_ids}
+        self.queuing_est_us = {fid: array("q", [0]) * n for fid in delay_flow_ids}
+        self.delivered_bytes = {fid: array("q", [0]) * n for fid in self.flow_ids}
 
         self.drops: list[tuple[int, int, int]] = []  # (t_us, flow_id, seq)
         self.halvings = {fid: [] for fid in self.flow_ids}  # (t_us, cwnd_after, rtt_gate)
@@ -130,28 +135,11 @@ class _Simulation:
 
         ledbats = [s for s in self.senders if s.kind == "ledbat"]
         tr = self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps,
-                                   self.duration_us, [s.flow_id for s in ledbats])
-        # Tick k falls at k * sample_us, up to the end. So the tick times are
-        # written here, every other series but the base delay gets its full
-        # length, and tick k writes entry k through a memoryview: an item
-        # store there costs 10-17 ns less than one on the array itself, which
-        # converts each value through PyArg_Parse (CPython 3.11, 2-vCPU Xeon
-        # VM: 45 against 55 ns for "q", 40 against 57 ns for "d").
-        tr.sample_t_us = array("q", range(0, self.duration_us + 1, sample_us))
-        zeros = bytes(8 * len(tr.sample_t_us))
-        self._views = []  # released after the run, so that the series can grow again
-
-        def view(series):
-            series.frombytes(zeros)
-            self._views.append(memoryview(series))
-            return self._views[-1]
-
-        self._link_views = (view(tr.queue_pkts), view(tr.link_offered), view(tr.link_dropped))
-        self._flow_views = [
-            (s, view(tr.cwnd_pkts[s.flow_id]), view(tr.delivered_bytes[s.flow_id]))
-            for s in self.senders]
-        self._delay_views = [
-            (s, tr.base_delay_us[s.flow_id].append, view(tr.queuing_est_us[s.flow_id]))
+                                   self.duration_us, sample_us, [s.flow_id for s in ledbats])
+        self._flow_series = [
+            (s, tr.cwnd_pkts[s.flow_id], tr.delivered_bytes[s.flow_id]) for s in self.senders]
+        self._delay_series = [
+            (s, tr.base_delay_us[s.flow_id].append, tr.queuing_est_us[s.flow_id])
             for s in ledbats]
 
         eng = self.engine
@@ -176,23 +164,22 @@ class _Simulation:
     def _on_sample(self, k) -> None:
         now = self.engine.now
         link = self.link
-        queue, offered, dropped = self._link_views
-        queued = queue[k] = len(link.queue)
-        n_offered = offered[k] = link.offered
-        n_dropped = dropped[k] = len(link.drops)
+        tr = self.trace
+        queued = tr.queue_pkts[k] = len(link.queue)
+        n_offered = tr.link_offered[k] = link.offered
+        n_dropped = tr.link_dropped[k] = len(link.drops)
         by_flow = link.delivered_by_flow
         packet_bytes = self.scenario.packet_bytes  # the link counts packets
-        for s, cwnd, delivered in self._flow_views:
+        for s, cwnd, delivered in self._flow_series:
             cwnd[k] = s.cwnd
             delivered[k] = by_flow.get(s.flow_id, 0) * packet_bytes
-        for s, store_base, qest in self._delay_views:
+        for s, store_base, qest in self._delay_series:
             base = s.base_delay_us
             if base is not None:  # once set by the first delay sample, it stays set
                 store_base(base)
             qest[k] = s.queuing_delay_est_us
         # the link's conservation identity, on the counts just stored
         if n_offered != link.delivered + n_dropped + queued:
-            self.trace.conservation_ok = False
             raise RuntimeError(f"packet conservation violated at t={now}")
         # a timeout waits at least MIN_TIMEOUT_US from the last progress, so
         # a flow that made progress since then is not polled
@@ -213,8 +200,6 @@ class _Simulation:
         # simulation, its link and its senders: dropping them leaves no cycle,
         # so the finished run is freed without the cycle collector
         self.engine.clear()
-        for v in self._views:
-            v.release()
         self.trace.drops = self.link.drops
         for s in self.senders:
             self.trace.halvings[s.flow_id] = list(s.halvings)

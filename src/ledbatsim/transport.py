@@ -105,6 +105,7 @@ class SenderBase:
     """Window-based sender. Subclasses implement the congestion controller."""
 
     kind = "base"
+    pacing = False  # a pacing sender reads pacing_gap_us() before it sends
 
     def __init__(self, engine: Engine, flow_id: int, link: Bottleneck):
         self.engine = engine
@@ -153,8 +154,8 @@ class SenderBase:
     def try_send(self, now: int) -> None:
         # A future send time means a positive gap: only a paced flow with an
         # RTT estimate sets one, and from then on its gap is at least 1. So
-        # the gap is read only when a send is due, and once per call, since a
-        # send changes neither the window nor the RTT estimate.
+        # the gap is read only when a paced flow's send is due, and once per
+        # call, since a send changes neither the window nor the RTT estimate.
         gap = None
         while self.cwnd - (self.next_seq - 1 - self.highest_acked) >= 1.0:  # flightsize
             if now < self._next_send_at:
@@ -163,7 +164,7 @@ class SenderBase:
                     self.engine.schedule(self._next_send_at, PACING_TIMER, self)
                 return
             if gap is None:
-                gap = self.pacing_gap_us()
+                gap = self.pacing_gap_us() if self.pacing else 0
             seq = self.next_seq
             self._send_times[seq] = now
             self.link.enqueue(Packet(self.flow_id, seq, now))

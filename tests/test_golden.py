@@ -108,12 +108,8 @@ def _counting_events():
         yield dispatched
 
 
-@functools.cache
-def _golden_run(preset):
-    """Run a preset's 30 s cut once: ((trace sha256, summary sha256), events by kind)."""
-    scenario = replace(get_preset(preset), duration_s=CUT_S)
-    if preset.startswith("table1-"):
-        scenario = replace(scenario, seed=GRID_SEED)
+def digest_run(scenario):
+    """Run a scenario: ((trace sha256, summary sha256), events by kind)."""
     with _counting_events() as dispatched:
         result = run_scenario(scenario)
     with tempfile.TemporaryDirectory() as tmp:
@@ -122,6 +118,15 @@ def _golden_run(preset):
         write_summary_csv(result, summary)
         digests = (_sha256(trace), _sha256(summary))
     return digests, dict(dispatched)
+
+
+@functools.cache
+def _golden_run(preset):
+    """Run a preset's 30 s cut once."""
+    scenario = replace(get_preset(preset), duration_s=CUT_S)
+    if preset.startswith("table1-"):
+        scenario = replace(scenario, seed=GRID_SEED)
+    return digest_run(scenario)
 
 
 @pytest.mark.parametrize("preset", sorted(GOLDEN))

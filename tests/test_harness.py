@@ -80,7 +80,6 @@ def test_sampled_series_are_typed_arrays_and_delay_series_are_ledbat_only():
     assert tr.sample_t_us[i0] == 2_100_000 and len(base) == n - i0
     assert set(qest[:i0]) == {0}
     assert min(base) > 0
-    tr.queue_pkts.append(0)  # the run let go of its views: a series can grow again
 
 
 def test_largest_valid_clock_offset_fits_the_trace():
@@ -249,22 +248,18 @@ def _starvation_trace(flow1_rates_bps, capacity_bps=10_000_000, window_s=10):
     """Synthetic two-flow trace: flow 0 saturates, flow 1 follows the given
     per-window rates (None = not yet started)."""
     n_windows = len(flow1_rates_bps)
-    tr = TraceSet([0, 1], capacity_bps, n_windows * window_s * S)
+    tr = TraceSet([0, 1], capacity_bps, n_windows * window_s * S, window_s * S)
     cum0 = cum1 = 0
-    tr.sample_t_us.append(0)
-    tr.delivered_bytes[0].append(0)
-    tr.delivered_bytes[1].append(0)
-    for w, rate in enumerate(flow1_rates_bps):
+    for w, rate in enumerate(flow1_rates_bps, 1):
         cum0 += capacity_bps // 8 * window_s  # flow 0 fills the link
         cum1 += 0 if rate is None else int(rate / 8 * window_s)
-        tr.sample_t_us.append((w + 1) * window_s * S)
-        tr.delivered_bytes[0].append(cum0)
-        tr.delivered_bytes[1].append(cum1)
+        tr.delivered_bytes[0][w] = cum0
+        tr.delivered_bytes[1][w] = cum1
     return tr
 
 
 def test_starvation_needs_two_flows():
-    tr = TraceSet([0], 10_000_000, 10 * S)
+    tr = TraceSet([0], 10_000_000, 10 * S, S)
     with pytest.raises(UsageError, match="two flows"):
         detect_starvation(tr)
 
@@ -305,17 +300,16 @@ def test_starvation_requires_a_thriving_competitor():
 def test_trace_rows_at_equal_times(tmp_path):
     # ticks at 0, 10 and 20 us; flow 0 loss-based (no delay series), flow 1
     # delay-based with its first base delay at the second tick
-    tr = TraceSet([0, 1], 10_000_000, 20, delay_flow_ids=[1])
-    for i, t in enumerate((0, 10, 20)):
-        tr.sample_t_us.append(t)
-        tr.queue_pkts.append(i)
-        tr.cwnd_pkts[0].append(2.0 + i)
-        tr.cwnd_pkts[1].append(3.0)
+    tr = TraceSet([0, 1], 10_000_000, 20, 10, delay_flow_ids=[1])
+    for i in range(3):
+        tr.queue_pkts[i] = i
+        tr.cwnd_pkts[0][i] = 2.0 + i
+        tr.cwnd_pkts[1][i] = 3.0
         if i > 0:
             tr.base_delay_us[1].append(50 + i)
-        tr.queuing_est_us[1].append(i)
-        tr.delivered_bytes[0].append(100 * i)
-        tr.delivered_bytes[1].append(10 * i)
+        tr.queuing_est_us[1][i] = i
+        tr.delivered_bytes[0][i] = 100 * i
+        tr.delivered_bytes[1][i] = 10 * i
     tr.drops = [(10, 1, 7), (25, 0, 9)]  # one at a tick, one after the last
     tr.halvings[0] = [(15, 1.5, 4), (25, 1.0, 4)]
     tr.halvings[1] = [(15, 2.5, 4)]  # the same instant as flow 0's
@@ -391,17 +385,16 @@ def _reference_trace_csv(trace, path):
 def _hand_trace(n_ticks, base_from=0, drops=(), halvings=()):
     """Ticks every 10 us from 0; flow 0 loss-based, flow 1 delay-based with
     its first base delay at tick `base_from` (none if it is n_ticks)."""
-    tr = TraceSet([0, 1], 10_000_000, 10 * (n_ticks - 1), delay_flow_ids=[1])
+    tr = TraceSet([0, 1], 10_000_000, 10 * (n_ticks - 1), 10, delay_flow_ids=[1])
     for i in range(n_ticks):
-        tr.sample_t_us.append(10 * i)
-        tr.queue_pkts.append(i % 5)
-        tr.cwnd_pkts[0].append(1.0 + i / 4)
-        tr.cwnd_pkts[1].append(2.5 + i / 3)
+        tr.queue_pkts[i] = i % 5
+        tr.cwnd_pkts[0][i] = 1.0 + i / 4
+        tr.cwnd_pkts[1][i] = 2.5 + i / 3
         if i >= base_from:
             tr.base_delay_us[1].append(40 + i)
-        tr.queuing_est_us[1].append(i)
-        tr.delivered_bytes[0].append(1500 * i)
-        tr.delivered_bytes[1].append(1000 * i)
+        tr.queuing_est_us[1][i] = i
+        tr.delivered_bytes[0][i] = 1500 * i
+        tr.delivered_bytes[1][i] = 1000 * i
     tr.drops = list(drops)
     for fid, t, cwnd_after in halvings:
         tr.halvings[fid].append((t, cwnd_after, 10))

@@ -21,8 +21,7 @@ S = 1_000_000
 
 def _trace():
     """Two flows over one second: 1.25 MB total, split 625k/625k, 5 drops of 100 offered."""
-    tr = TraceSet([0, 1], 10_000_000, S)
-    tr.sample_t_us = [0, S]
+    tr = TraceSet([0, 1], 10_000_000, S, S)  # ticks at 0 and S
     tr.queue_pkts = [0, 0]
     tr.link_offered = [0, 100]
     tr.link_dropped = [0, 5]

@@ -233,6 +233,8 @@ def test_timeout_idle_flow_is_exempt():
 class _Paced(_Recorder):
     """Fixed window with a fixed 1 ms gap between sends."""
 
+    pacing = True
+
     def pacing_gap_us(self):
         return 1000
 
@@ -267,6 +269,8 @@ def test_gap_blocked_sender_arms_one_pacing_timer_at_a_time():
 
 class _GapReads(_Recorder):
     """Fixed window and gap; records how often each try_send call reads the gap."""
+
+    pacing = True
 
     def __init__(self, engine, link, cwnd, gap):
         super().__init__(engine, link, cwnd)
@@ -343,8 +347,9 @@ def test_one_packet_object_per_transmission(preset, monkeypatch):
 @pytest.mark.parametrize("pacing", [True, False])
 def test_a_flows_pacing_gap_is_zero_until_it_turns_positive_for_good(pacing, monkeypatch):
     """try_send takes a future send time to mean a positive gap, and reads the
-    gap only when a send is due. That holds because each flow's gap reads 0
-    up to some point and at least 1 from there on."""
+    gap only when a paced flow's send is due. That holds because each flow's
+    gap reads 0 up to some point and at least 1 from there on. A flow that
+    does not pace never reads it."""
     gaps = {}
     gap_us = LedbatFlow.pacing_gap_us
 
@@ -356,9 +361,24 @@ def test_a_flows_pacing_gap_is_zero_until_it_turns_positive_for_good(pacing, mon
     monkeypatch.setattr(LedbatFlow, "pacing_gap_us", recorded)
     scn = _cut("fig3-bottom", pacing=pacing)  # two delay-based flows
     harness.run_scenario(scn)
-    assert sorted(gaps) == list(range(len(scn.flows)))
+    assert sorted(gaps) == (list(range(len(scn.flows))) if pacing else [])
     for series in gaps.values():
         zeros = next((i for i, g in enumerate(series) if g), len(series))
         assert zeros >= 1  # no RTT estimate at a flow's first send
         assert all(g >= 1 for g in series[zeros:])
-        assert (zeros < len(series)) == pacing
+        assert zeros < len(series)
+
+
+def test_a_loss_based_flow_never_reads_a_pacing_gap(monkeypatch):
+    reads = []
+    gap_us = SenderBase.pacing_gap_us
+
+    def recorded(self):
+        reads.append(self.flow_id)
+        return gap_us(self)
+
+    monkeypatch.setattr(SenderBase, "pacing_gap_us", recorded)
+    result = harness.run_scenario(_cut("fig2a"))  # flow 0 is loss-based
+    assert result.scenario.flows[0].kind == "tcp"
+    assert result.trace.delivered_bytes[0][-1] > 0
+    assert reads == []
