@@ -37,8 +37,9 @@ class TraceSet:
     """Columnar per-run trace: fixed-cadence samples plus event rows.
 
     The trace lays itself out. Tick k falls at k * sample_us, up to
-    duration_us: the constructor fills the tick times and allocates every
-    full-length series, zeroed, and the run's tick k writes entry k of each.
+    duration_us, so the tick times are held as that range; the constructor
+    allocates every full-length series, zeroed, and the run's tick k writes
+    entry k of each.
     Sampled series are 8-byte typed arrays, `array("q")` of ints except the
     window, `array("d")`. Full length: the link queue occupancy and
     cumulative counters, and per flow the window and the cumulative delivered
@@ -56,7 +57,7 @@ class TraceSet:
         self.capacity_bps = capacity_bps
         self.duration_us = duration_us
 
-        self.sample_t_us = array("q", range(0, duration_us + 1, sample_us))
+        self.sample_t_us = range(0, duration_us + 1, sample_us)
         n = len(self.sample_t_us)
         self.queue_pkts = array("q", [0]) * n
         self.link_offered = array("q", [0]) * n

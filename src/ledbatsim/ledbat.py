@@ -16,7 +16,6 @@ per RTT when the queuing delay is twice the target. On loss the window halves
 
 import math
 from collections import deque
-from fractions import Fraction
 
 from .engine import Engine
 from .network import Bottleneck, Packet
@@ -75,12 +74,13 @@ class LedbatFlow(SenderBase):
         self.target_us = spec.target_us
         self.pacing = spec.pacing
         self.pin_zero_queuing_delay = spec.pin_zero_queuing_delay
-        gain = Fraction(*spec.gain) if spec.gain is not None else Fraction(1, self.target_us)
-        # kept as an exact rational: the per-ack ratio gain*off_target is formed
-        # before dividing by cwnd, so the default gain gives exactly 1.0/cwnd
-        # at zero queuing delay
-        self._gain_num = gain.numerator
-        self._gain_den = gain.denominator
+        num, den = spec.gain if spec.gain is not None else (1, self.target_us)
+        # kept as an exact rational in lowest terms: the per-ack ratio
+        # gain*off_target is formed before dividing by cwnd, so the default
+        # gain gives exactly 1.0/cwnd at zero queuing delay
+        g = math.gcd(num, den)
+        self._gain_num = num // g
+        self._gain_den = den // g
         self.history = BaseDelayHistory(spec.base_histo_min)
         self.base_delay_us: int | None = None
         # measured - base as of the last delay sample; 0 before the first one
@@ -121,7 +121,7 @@ class LedbatFlow(SenderBase):
             self._halve(now, max(self.cwnd / 2.0, MIN_CWND_PKTS))
 
     def pacing_gap_us(self) -> int:
-        if not self.pacing or self.rtt_est_us is None:
+        if self.rtt_est_us is None:
             return 0
         gap = round(self.rtt_est_us / self.cwnd)  # an int, ties to even
         return gap if gap > 1 else 1

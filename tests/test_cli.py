@@ -173,20 +173,22 @@ def test_table1_usage_error_creates_no_out_directory(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
-NO_NUMPY = """
+UNLOADED_PROBE = """
 import sys
 if sys.argv[1:] == ["import-acceptance"]:
     import ledbatsim.acceptance
 else:
     from ledbatsim import cli
     assert cli.main(sys.argv[1:]) == 0
-loaded = sorted(m for m in ("numpy", "numpy.random") if m in sys.modules)
+loaded = sorted(m for m in ("numpy", "numpy.random", "fractions", "decimal")
+                if m in sys.modules)
 assert loaded == [], loaded
 """
 
 
 @pytest.mark.parametrize("what", ["fixed-start run", "drawing table1", "import acceptance"])
-def test_runs_draws_and_acceptance_never_import_numpy(tmp_path, scn_file, what):
+def test_runs_draws_and_acceptance_never_import_numpy_fractions_or_decimal(tmp_path, scn_file,
+                                                                            what):
     # in a fresh interpreter: this one may have loaded numpy for other tests
     argv = {
         "fixed-start run": ["run", "--scenario", str(scn_file), "--out", str(tmp_path / "o")],
@@ -196,7 +198,7 @@ def test_runs_draws_and_acceptance_never_import_numpy(tmp_path, scn_file, what):
     }[what]
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, *argv],
+    proc = subprocess.run([sys.executable, "-c", UNLOADED_PROBE, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     if what == "fixed-start run":

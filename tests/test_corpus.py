@@ -12,21 +12,26 @@ corpus.json holds each scenario as drawn, its trace and summary SHA-256 and
 its events by kind. A refactor keeps them; a change that moves them on
 purpose re-records them with `PYTHONPATH=src python3 tests/test_corpus.py`
 and names the cause.
+
+Each generated run must also hold the exact properties: conservation at
+every tick, the window floor, the halving gate, the per-ack bound of the
+default gain, and clock-offset invariance (acceptance 6b).
 """
 
+import functools
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from ledbatsim.engine import FRONT, Engine
-from ledbatsim.harness import DEFAULT_SAMPLE_US
+from ledbatsim.harness import DEFAULT_SAMPLE_US, extract_check_facts, run_scenario
 from ledbatsim.scenario import UNIFORM_START_MAX_S, Scenario, service_time_us
 from ledbatsim.transport import FlowSpec
-from test_golden import digest_run
+from test_golden import counted_run, digest_run, output_digests
 
 CORPUS = Path(__file__).with_name("corpus.json")
 SEED = 2009
@@ -36,6 +41,7 @@ DECADES_BPS = [(100_000, 1_000_000), (1_000_000, 10_000_000), (10_000_000, 100_0
 DECADES_PKTS = [(1, 10), (10, 100), (100, 1001)]
 DEEP = range(1, N_SCENARIOS, 8)  # the indexes of the deep scenarios
 MAX_PKTS = 20_000  # packets a scenario's link can serve in its run, which bounds its cost
+HOUR_US = 3_600_000_000
 
 
 def _start_us(rng, mode, duration_us, previous_us):
@@ -171,10 +177,46 @@ def test_the_corpus_covers_the_bounds():
                for s in scns for a, b in zip(s.flows, s.flows[1:]))
 
 
+@functools.cache
+def _run(name):
+    """Run a generated scenario once: (its result, events by kind)."""
+    return counted_run(GENERATED[name])
+
+
 @pytest.mark.parametrize("name", sorted(RECORDED))
 def test_generated_scenario_output_and_events_match_the_corpus(name):
     entry = RECORDED[name]
-    assert digest_run(GENERATED[name]) == ((entry["trace"], entry["summary"]), entry["events"])
+    result, events = _run(name)
+    assert (output_digests(result), events) == (
+        (entry["trace"], entry["summary"]), entry["events"])
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_generated_scenario_holds_the_window_floor_halving_gate_and_per_ack_bound(name):
+    # the run completed, so the link conserved packets at every tick
+    result, _ = _run(name)
+    facts = extract_check_facts(result)
+    assert facts.min_sampled_cwnd >= 1.0
+    assert facts.halving_gaps_ok
+    for spec, stats in zip(result.scenario.flows, result.flow_stats):
+        if spec.kind == "ledbat" and spec.gain is None:
+            assert stats.max_update_ratio <= 1.0
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_generated_scenario_is_clock_offset_invariant(name):
+    # each flow's offset moves by an hour, toward zero at the largest valid ones
+    scn = GENERATED[name]
+    moves = [-HOUR_US if f.clock_offset_us == 2**62 else HOUR_US for f in scn.flows]
+    moved = replace(scn, flows=[replace(f, clock_offset_us=f.clock_offset_us + move)
+                                for f, move in zip(scn.flows, moves)])
+    a, b = _run(name)[0].trace, run_scenario(moved).trace
+    assert b.cwnd_pkts == a.cwnd_pkts and b.queue_pkts == a.queue_pkts
+    assert b.drops == a.drops and b.halvings == a.halvings
+    assert b.queuing_est_us == a.queuing_est_us
+    for fid, base in a.base_delay_us.items():
+        assert b.first_tick(b.base_delay_us[fid]) == a.first_tick(base)
+        assert list(b.base_delay_us[fid]) == [d + moves[fid] for d in base]
 
 
 @pytest.mark.parametrize("name", [f"gen-{i:02d}" for i in DEEP])

@@ -108,16 +108,26 @@ def _counting_events():
         yield dispatched
 
 
-def digest_run(scenario):
-    """Run a scenario: ((trace sha256, summary sha256), events by kind)."""
+def counted_run(scenario):
+    """Run a scenario: (its result, events by kind)."""
     with _counting_events() as dispatched:
         result = run_scenario(scenario)
+    return result, dict(dispatched)
+
+
+def output_digests(result):
+    """(trace sha256, summary sha256) of a run's output files."""
     with tempfile.TemporaryDirectory() as tmp:
         trace, summary = Path(tmp, "trace.csv"), Path(tmp, "summary.csv")
         write_trace_csv(result.trace, trace)
         write_summary_csv(result, summary)
-        digests = (_sha256(trace), _sha256(summary))
-    return digests, dict(dispatched)
+        return _sha256(trace), _sha256(summary)
+
+
+def digest_run(scenario):
+    """Run a scenario: ((trace sha256, summary sha256), events by kind)."""
+    result, events = counted_run(scenario)
+    return output_digests(result), events
 
 
 @functools.cache

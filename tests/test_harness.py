@@ -64,8 +64,9 @@ def test_sampled_series_are_typed_arrays_and_delay_series_are_ledbat_only():
     tr = run_scenario(scn, sample_us=100_000).trace
     n = len(tr.sample_t_us)
     assert n == 51
+    assert type(tr.sample_t_us) is range and tr.sample_t_us == range(0, 5 * S + 1, 100_000)
     # "q" and "d" are 8-byte ints and floats
-    for series in (tr.sample_t_us, tr.queue_pkts, tr.link_offered, tr.link_dropped,
+    for series in (tr.queue_pkts, tr.link_offered, tr.link_dropped,
                    *tr.delivered_bytes.values()):
         assert isinstance(series, array) and series.typecode == "q" and len(series) == n
     for series in tr.cwnd_pkts.values():

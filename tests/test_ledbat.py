@@ -266,12 +266,9 @@ def test_pacing_gap_spreads_window_over_rtt():
     assert flow.pacing_gap_us() == 50_000
 
 
-def test_pacing_gap_zero_before_first_rtt_and_when_disabled():
+def test_pacing_gap_zero_before_first_rtt():
     flow = _flow(cwnd=10.0)
     assert flow.pacing_gap_us() == 0  # no RTT estimate yet
-    off = _flow(cwnd=10.0, pacing=False)
-    off.rtt_est_us = 50_000
-    assert off.pacing_gap_us() == 0
 
 
 def test_pacing_gap_is_the_rounded_ratio_floored_at_one():
