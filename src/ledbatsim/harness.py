@@ -37,27 +37,35 @@ class TraceSet:
     """Columnar per-run trace: fixed-cadence samples plus event rows.
 
     The trace lays itself out. Tick k falls at k * sample_us, up to
-    duration_us, so the tick times are held as that range; the constructor
-    allocates every full-length series, zeroed, and the run's tick k writes
-    entry k of each.
+    duration_us. The trace keeps the ticks whose indexes are in the range
+    `ticks`, every tick by default, so the kept tick times are held as a
+    range too; the constructor allocates every series at the kept length,
+    zeroed, and the run's j-th kept tick writes entry j of each.
+    A trace that keeps fewer ticks answers interval queries only at the
+    ticks it kept, and the writer and starvation detection read it as if it
+    had no others, so only the grid's batch runs ask for one.
     Sampled series are 8-byte typed arrays, `array("q")` of ints except the
-    window, `array("d")`. Full length: the link queue occupancy and
+    window, `array("d")`. Every kept tick: the link queue occupancy and
     cumulative counters, and per flow the window and the cumulative delivered
     bytes. The delay estimates exist only for the flows in `delay_flow_ids`
     (the LEDBAT flows), and each covers the trace's last len(series) ticks,
-    from `first_tick(series)` on: `queuing_est_us` every tick, and
+    from `first_tick(series)` on: `queuing_est_us` every kept tick, and
     `base_delay_us`, empty at first, the ticks after the flow's first delay
     sample, one entry appended by each.
-    Event rows: drops (exact times) and window halvings, handed over when the
-    run ends. Safety timeouts are in RunResult.flow_stats.
+    `min_cwnd_pkts` is the least window any flow had at any tick, kept or
+    not. It and the event rows, drops (exact times) and window halvings, are
+    handed over when the run ends. Safety timeouts are in RunResult.flow_stats.
     """
 
-    def __init__(self, flow_ids, capacity_bps, duration_us, sample_us, delay_flow_ids=()):
+    def __init__(self, flow_ids, capacity_bps, duration_us, sample_us, delay_flow_ids=(),
+                 ticks=None):
         self.flow_ids = list(flow_ids)
         self.capacity_bps = capacity_bps
         self.duration_us = duration_us
 
-        self.sample_t_us = range(0, duration_us + 1, sample_us)
+        every_tick = range(0, duration_us + 1, sample_us)
+        self.ticks = range(len(every_tick)) if ticks is None else ticks
+        self.sample_t_us = every_tick[self.ticks.start:self.ticks.stop:self.ticks.step]
         n = len(self.sample_t_us)
         self.queue_pkts = array("q", [0]) * n
         self.link_offered = array("q", [0]) * n
@@ -69,6 +77,7 @@ class TraceSet:
 
         self.drops: list[tuple[int, int, int]] = []  # (t_us, flow_id, seq)
         self.halvings = {fid: [] for fid in self.flow_ids}  # (t_us, cwnd_after, rtt_gate)
+        self.min_cwnd_pkts = float("inf")
         self.conservation_ok = True
 
     def first_tick(self, series) -> int:
@@ -116,7 +125,7 @@ class RunResult:
 
 
 class _Simulation:
-    def __init__(self, scenario: Scenario, sample_us: int):
+    def __init__(self, scenario: Scenario, sample_us: int, ticks=None):
         self.scenario = scenario
         self.sample_us = sample_us
         self.duration_us = scenario.duration_us
@@ -136,7 +145,11 @@ class _Simulation:
 
         ledbats = [s for s in self.senders if s.kind == "ledbat"]
         tr = self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps,
-                                   self.duration_us, sample_us, [s.flow_id for s in ledbats])
+                                   self.duration_us, sample_us, [s.flow_id for s in ledbats],
+                                   ticks)
+        # the next kept tick's index, and its entry in the series
+        self._keep_k, self._keep_step, self._keep_j = tr.ticks.start, tr.ticks.step, 0
+        self._min_cwnd = tr.min_cwnd_pkts
         self._flow_series = [
             (s, tr.cwnd_pkts[s.flow_id], tr.delivered_bytes[s.flow_id]) for s in self.senders]
         self._delay_series = [
@@ -165,28 +178,39 @@ class _Simulation:
     def _on_sample(self, k) -> None:
         now = self.engine.now
         link = self.link
-        tr = self.trace
-        queued = tr.queue_pkts[k] = len(link.queue)
-        n_offered = tr.link_offered[k] = link.offered
-        n_dropped = tr.link_dropped[k] = len(link.drops)
-        by_flow = link.delivered_by_flow
-        packet_bytes = self.scenario.packet_bytes  # the link counts packets
-        for s, cwnd, delivered in self._flow_series:
-            cwnd[k] = s.cwnd
-            delivered[k] = by_flow.get(s.flow_id, 0) * packet_bytes
-        for s, store_base, qest in self._delay_series:
-            base = s.base_delay_us
-            if base is not None:  # once set by the first delay sample, it stays set
-                store_base(base)
-            qest[k] = s.queuing_delay_est_us
-        # the link's conservation identity, on the counts just stored
-        if n_offered != link.delivered + n_dropped + queued:
+        queued = len(link.queue)
+        n_dropped = len(link.drops)
+        if k == self._keep_k:  # a kept tick: its entry j of every series
+            j = self._keep_j
+            self._keep_j = j + 1
+            self._keep_k = k + self._keep_step
+            tr = self.trace
+            tr.queue_pkts[j] = queued
+            tr.link_offered[j] = link.offered
+            tr.link_dropped[j] = n_dropped
+            by_flow = link.delivered_by_flow
+            packet_bytes = self.scenario.packet_bytes  # the link counts packets
+            for s, cwnd, delivered in self._flow_series:
+                cwnd[j] = s.cwnd
+                delivered[j] = by_flow.get(s.flow_id, 0) * packet_bytes
+            for s, store_base, qest in self._delay_series:
+                base = s.base_delay_us
+                if base is not None:  # once set by the first delay sample, it stays set
+                    store_base(base)
+                qest[j] = s.queuing_delay_est_us
+        # the link's conservation identity, at every tick
+        if link.offered != link.delivered + n_dropped + queued:
             raise RuntimeError(f"packet conservation violated at t={now}")
         # a timeout waits at least MIN_TIMEOUT_US from the last progress, so
-        # a flow that made progress since then is not polled
+        # a flow that made progress since then is not polled; a poll changes
+        # no window but its own flow's, which is read first
+        low = self._min_cwnd
         for s in self.senders:
+            if s.cwnd < low:
+                low = s.cwnd
             if now - s.last_progress_at >= MIN_TIMEOUT_US:
                 s.check_timeout(now)
+        self._min_cwnd = low
         nxt = now + self.sample_us
         if nxt <= self.duration_us:
             self.engine.schedule(nxt, STATS_SAMPLE, k + 1)
@@ -202,6 +226,7 @@ class _Simulation:
         # so the finished run is freed without the cycle collector
         self.engine.clear()
         self.trace.drops = self.link.drops
+        self.trace.min_cwnd_pkts = float(self._min_cwnd)  # as a window series holds it
         for s in self.senders:
             self.trace.halvings[s.flow_id] = list(s.halvings)
 
@@ -214,19 +239,32 @@ def check_sample_us(sample_us: int, duration_us: int) -> None:
                          f"not {sample_us!r}")
 
 
-def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US) -> RunResult:
+def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US,
+                 full_trace: bool = True) -> RunResult:
     """Resolve start-time randomness from the scenario seed, run, and measure.
 
     The measurement interval is [second flow's resolved start, duration]
     ([0, duration] for a single flow). Deterministic: same scenario and seed
     give bit-identical traces and metrics.
+
+    The trace keeps every tick unless `full_trace` is false. Then it keeps
+    only the two ticks the metrics read, the one at or before the interval's
+    start and the last, or one tick when they coincide. Such a trace
+    answers interval queries only at those ticks, so only `_batch_worker`
+    asks for one. Either way every tick fires, checks conservation and polls
+    stalled flows at the same times, so the run, its metrics and its check
+    facts are the same.
     """
     scenario.validate()
     check_sample_us(sample_us, scenario.duration_us)
     resolved = resolve_starts(scenario, scenario.seed, 0, 0)
-    sim = _Simulation(resolved, sample_us)
-    sim.run()
     t0_us = resolved.flows[1].start_us if len(resolved.flows) > 1 else 0
+    ticks = None
+    if not full_trace:
+        first, last = t0_us // sample_us, resolved.duration_us // sample_us
+        ticks = range(first, last + 1, last - first or 1)
+    sim = _Simulation(resolved, sample_us, ticks)
+    sim.run()
     metrics = compute_report(sim.trace, (t0_us, resolved.duration_us))
     stats = [
         FlowStats(
@@ -317,7 +355,6 @@ class RunCheckFacts:
 
 def extract_check_facts(result: RunResult) -> RunCheckFacts:
     max_ratio = max(fs.max_update_ratio for fs in result.flow_stats)
-    min_cwnd = min(min(series) for series in result.trace.cwnd_pkts.values())
     gaps_ok = True
     for halvings in result.trace.halvings.values():
         for (t_prev, _, _), (t_cur, _, gate) in zip(halvings, halvings[1:]):
@@ -325,14 +362,14 @@ def extract_check_facts(result: RunResult) -> RunCheckFacts:
                 gaps_ok = False
     return RunCheckFacts(
         max_update_ratio=max_ratio,
-        min_sampled_cwnd=min_cwnd,
+        min_sampled_cwnd=result.trace.min_cwnd_pkts,
         halving_gaps_ok=gaps_ok,
         conservation_ok=result.trace.conservation_ok,
     )
 
 
 def _batch_worker(scenario: Scenario) -> tuple[MetricsReport, RunCheckFacts]:
-    result = run_scenario(scenario)
+    result = run_scenario(scenario, full_trace=False)
     return result.metrics, extract_check_facts(result)
 
 

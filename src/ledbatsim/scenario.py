@@ -86,8 +86,10 @@ class Scenario:
             raise ValidationError("buffer_pkts must be at least 1")
         if self.packet_bytes <= 0:
             raise ValidationError("packet_bytes must be positive")
-        if self.duration_s <= 0:
-            raise ValidationError("duration_s must be positive")
+        # the run reads every time in whole microseconds, so the bounds do too
+        duration_us = self.duration_us
+        if duration_us < 1:
+            raise ValidationError("duration_s must be at least 0.000001 (1 us)")
         if not self.flows:
             raise ValidationError("scenario needs at least one flow")
         if self.delta_t_mode not in ("fixed", "uniform"):
@@ -103,8 +105,8 @@ class Scenario:
         for i, f in enumerate(self.flows):
             if f.kind not in ("ledbat", "tcp"):
                 raise ValidationError(f"flow {i}: unknown kind {f.kind!r}")
-            if not 0 <= f.start_s < self.duration_s:
-                raise ValidationError(f"flow {i}: start_s outside [0, duration)")
+            if not 0 <= f.start_us < duration_us:
+                raise ValidationError(f"flow {i}: start_s outside [0, duration) in whole us")
             if f.target_us < 1:
                 raise ValidationError(f"flow {i}: target_ms must be at least 0.001 (1 us)")
             if not 2 <= f.base_histo_min <= 10:
@@ -122,7 +124,7 @@ class Scenario:
                 latest_s = UNIFORM_START_MAX_S
             else:
                 latest_s = self.flows[1].start_s + self.start_jitter_s
-            if latest_s >= self.duration_s:
+            if int(round(latest_s * 1_000_000)) >= duration_us:
                 raise ValidationError(
                     f"second flow may start at {latest_s:g} s, not before duration_s"
                 )

@@ -117,6 +117,12 @@ NAN_JITTER = TINY_SCENARIO.replace("duration_s = 15\n", "duration_s = 15\nstart_
 # the run, so only a bound on the latest possible draw rejects them
 LATE_UNIFORM_START = TINY_SCENARIO.replace(
     "duration_s = 15\n", "duration_s = 5\ndelta_t_mode = uniform\n")
+# the run takes its times in whole microseconds: a duration of 0 us, and a
+# second start at the run's last microsecond, which left an empty interval
+SUB_US_DURATION = TINY_SCENARIO.replace("duration_s = 15\n", "duration_s = 0.0000004\n").replace(
+    "start_s = 2\n", "start_s = 0\n")
+START_AT_THE_END = TINY_SCENARIO.replace("duration_s = 15\n", "duration_s = 1\n").replace(
+    "start_s = 2\n", "start_s = 0.9999996\n")
 # the name is the output file stem: this one used to write beside --out
 ESCAPED_NAME = TINY_SCENARIO.replace("name = cli-probe", "name = ../escaped")
 
@@ -138,6 +144,19 @@ def test_run_rejects_scenario_the_run_cannot_use(tmp_path, capsys, text, seed):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.rglob("*")) == [p]  # nothing written, inside --out or beside it
+
+
+@pytest.mark.parametrize("text,fragment", [
+    (SUB_US_DURATION, "duration_s must be at least 0.000001 (1 us)"),
+    (START_AT_THE_END, "flow 1: start_s outside [0, duration) in whole us"),
+], ids=["sub-us-duration", "start-at-the-end"])
+def test_run_rejects_times_that_round_outside_the_run(tmp_path, capsys, text, fragment):
+    # checked in seconds, these passed validation and then broke the run
+    p = tmp_path / "bad.scn"
+    p.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--scenario", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert fragment in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [p]
 
 
 @pytest.mark.parametrize("argv", [

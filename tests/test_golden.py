@@ -108,10 +108,10 @@ def _counting_events():
         yield dispatched
 
 
-def counted_run(scenario):
-    """Run a scenario: (its result, events by kind)."""
+def counted_run(scenario, **kwargs):
+    """Run a scenario: (its result, events by kind). `kwargs` go to run_scenario."""
     with _counting_events() as dispatched:
-        result = run_scenario(scenario)
+        result = run_scenario(scenario, **kwargs)
     return result, dict(dispatched)
 
 

@@ -16,12 +16,14 @@ from ledbatsim.harness import (
     _run_batch,
     _Simulation,
     detect_starvation,
+    extract_check_facts,
     run_scenario,
     run_table1,
     write_trace_csv,
 )
 from ledbatsim.network import Bottleneck
 from ledbatsim.scenario import Scenario, UsageError, ValidationError, get_preset
+from ledbatsim.tcp import TcpFlow
 from ledbatsim.transport import FlowSpec
 
 S = 1_000_000
@@ -185,6 +187,26 @@ def test_run_table_cell_filter_and_determinism():
     again, _ = run_table1(2, base_seed=3, cells=["tl-c2-b10-dt2-noss"])
     assert again[0].eta == cell.eta
     assert again[0].fairness == cell.fairness
+
+
+def test_a_two_tick_trace_still_sees_the_window_at_every_tick(monkeypatch):
+    # a window forced under the floor for 20 ms mid-run, away from both
+    # ticks such a trace keeps: the check facts read it all the same
+    on_new_ack = TcpFlow.on_new_ack
+
+    def floor_break(self, ack, newly_acked, now):
+        on_new_ack(self, ack, newly_acked, now)
+        if 5 * S <= now < 5 * S + 20_000:
+            self.cwnd = 0.5
+
+    monkeypatch.setattr(TcpFlow, "on_new_ack", floor_break)
+    scn = _tiny(duration_s=10.0, flows=[FlowSpec("tcp")])
+    full, two = run_scenario(scn), run_scenario(scn, full_trace=False)
+    assert min(full.trace.cwnd_pkts[0]) == 0.5
+    assert two.trace.sample_t_us == range(0, 10 * S + 1, 10 * S)
+    assert 0.5 not in two.trace.cwnd_pkts[0]
+    assert extract_check_facts(two) == extract_check_facts(full)
+    assert extract_check_facts(two).min_sampled_cwnd == 0.5
 
 
 def test_batch_worker_frees_its_run():

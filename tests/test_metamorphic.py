@@ -8,7 +8,11 @@ exception to relabelling: at equal start times the flow-list order breaks the
 tie, and flow 0 transmits first. Scale: the window laws count packets and the
 link serves each in packet_bytes * 8 / capacity_bps, so multiplying both by
 the same k leaves every event where it was and multiplies only the delivered
-bytes; that holds only while the packet size has one owner.
+bytes; that holds only while the packet size has one owner. Two ticks: a
+run whose trace keeps only the tick at or before the measurement interval's
+start and the last tick (`full_trace=False`, as the grid's batch runs ask)
+dispatches the same events and gives the same metrics and check facts as the
+full run, and the ticks it keeps hold the full run's values.
 """
 
 from array import array
@@ -16,9 +20,11 @@ from dataclasses import replace
 
 import pytest
 
-from ledbatsim.harness import run_scenario
+from ledbatsim.harness import extract_check_facts, run_scenario
 from ledbatsim.network import Bottleneck
-from ledbatsim.scenario import get_preset
+from ledbatsim.scenario import get_preset, resolve_starts, table1_cells
+from test_corpus import GENERATED
+from test_golden import counted_run
 
 S = 1_000_000
 
@@ -109,3 +115,28 @@ def test_co_started_flows_transmit_in_flow_list_order(monkeypatch, reverse):
     at_zero = [fid for t, fid in offered if t == 0]
     assert at_zero[0] == 0
     assert 1 in at_zero  # both flows do offer packets at t=0
+
+
+GRID_SEED = 11
+# every grid cell cut to 30 s, its start drawn as run_table1 draws run 0, and
+# the generated scenarios of the digest corpus
+TWO_TICK_RUNS = {scn.name: resolve_starts(replace(scn, duration_s=30.0), GRID_SEED, ci, 0)
+                 for ci, scn in enumerate(table1_cells())} | GENERATED
+
+
+@pytest.mark.parametrize("run", list(TWO_TICK_RUNS))
+def test_a_run_keeping_two_ticks_measures_what_the_full_run_does(run):
+    scn = TWO_TICK_RUNS[run]
+    full, full_events = counted_run(scn)
+    two, events = counted_run(scn, full_trace=False)
+    a, b = full.trace, two.trace
+    kept = sorted({a._sample_index_at(full.metrics.t0_us), len(a.sample_t_us) - 1})
+    for name in LINK_SERIES:
+        assert list(getattr(b, name)) == [getattr(a, name)[i] for i in kept], name
+    for name in FLOW_SERIES:
+        assert _per_tick(b, name) == {
+            fid: [series[i] for i in kept] for fid, series in _per_tick(a, name).items()}, name
+    assert two.metrics == full.metrics
+    assert extract_check_facts(two) == extract_check_facts(full)
+    assert events == full_events
+    assert (b.drops, b.halvings, two.flow_stats) == (a.drops, a.halvings, full.flow_stats)

@@ -11,6 +11,7 @@ from ledbatsim.engine import Engine, EventKind
 from ledbatsim.harness import run_scenario
 from ledbatsim.network import AckPath, Bottleneck, Packet
 from ledbatsim.scenario import get_preset, service_time_us
+from test_corpus import GENERATED
 
 
 def _pkt(seq, flow=0):
@@ -154,20 +155,24 @@ def link_log(monkeypatch):
     return offers, departures
 
 
-# the golden presets and the slowest link; six of the nine refuse offers in 30 s
-@pytest.mark.parametrize("preset", [
+# the golden presets and the slowest link, six of the nine refusing offers in
+# 30 s, and the generated scenarios of the digest corpus
+LINDLEY_RUNS = {preset: replace(get_preset(preset), duration_s=30.0) for preset in [
     "fig2a", "fig2b", "fig3-top", "fig3-mid", "fig3-bottom", "tcp-alone-hs-b40",
     "table1-tl-c2-b10-dtu-noss", "table1-ll-c2-b10-dt2-ss", "adsl-up-b10-tcp-vs-ledbat",
-])
-def test_whole_run_follows_lindleys_recursion(preset, link_log):
+]} | GENERATED
+
+
+@pytest.mark.parametrize("name", list(LINDLEY_RUNS))
+def test_whole_run_follows_lindleys_recursion(name, link_log):
     """A FIFO with one server departs packet i at max(a_i, d_prev) + svc
     (Lindley 1952), svc being the scenario's one service time, and a
     drop-tail buffer of B waiting slots refuses an offer exactly when B + 1
     accepted packets are still there. The one slack is a
     departure at the offer's own time, whose order against the offer
     test_offer_at_the_heads_departure_time pins."""
+    scn = LINDLEY_RUNS[name]
     offers, departures = link_log
-    scn = replace(get_preset(preset), duration_s=30.0)
     run_scenario(scn)
     buffer_pkts = scn.buffer_pkts
     svc = service_time_us(scn.packet_bytes, scn.capacity_bps)

@@ -47,6 +47,14 @@ def test_validate_passes_sane_scenario():
     (dict(buffer_pkts=0), "buffer"),
     (dict(flows=[]), "at least one flow"),
     (dict(duration_s=0.0), "duration"),
+    # the run takes its times in whole microseconds, and so do the bounds:
+    # a duration that rounds to 0 us, a start that rounds to the end
+    (dict(duration_s=4e-7), r"duration_s must be at least 0.000001 \(1 us\)"),
+    (dict(duration_s=1.0, flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=0.9999996)]),
+     r"flow 1: start_s outside \[0, duration\) in whole us"),
+    (dict(duration_s=1.0, flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=0.5)],
+          start_jitter_s=0.4999996), "second flow may start at 1 s"),
+    (dict(delta_t_mode="uniform", duration_s=10.0000004), "second flow may start at 10 s"),
     (dict(delta_t_mode="gaussian"), "delta_t_mode"),
     (dict(start_jitter_s=-1.0), "jitter"),
     (dict(seed=-1), r"seed must be within \[0, 2\*\*64\)"),

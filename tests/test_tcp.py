@@ -146,3 +146,38 @@ def test_solo_flow_drops_one_packet_per_halving(buffer_pkts, drops):
     stats = res.flow_stats[0]
     assert len(res.trace.drops) == len(res.trace.halvings[0]) == stats.retransmits == drops
     assert stats.timeouts == []
+
+
+def test_the_once_per_rtt_gate_refuses_a_halving_in_a_whole_run(monkeypatch):
+    """Two slow-start flows on a slow, short-RTT link: at 6.154 s the second
+    flow's loss episode reaches on_loss 1.098 s after its last halving, inside
+    its smoothed RTT of 1.432 s, and the gate refuses it. No safety timeout
+    fires. The halving-gate check must hold on the run all the same;
+    without the gate, the extra halving lands inside the gap and fails it."""
+    from ledbatsim.harness import extract_check_facts, run_scenario
+    from ledbatsim.scenario import Scenario
+    from ledbatsim.transport import SenderBase
+
+    refused = []
+    halve = SenderBase._halve
+
+    def recorded(self, now, new_cwnd):
+        applied = halve(self, now, new_cwnd)
+        if not applied:
+            refused.append((now, self.flow_id))
+        return applied
+
+    monkeypatch.setattr(SenderBase, "_halve", recorded)
+    scn = Scenario(name="gated", capacity_bps=2_000_000, buffer_pkts=40,
+                   flows=[FlowSpec("tcp", slow_start=True),
+                          FlowSpec("tcp", start_s=1.0, slow_start=True)],
+                   rtt_base_us=20_000, duration_s=20.0)
+    res = run_scenario(scn)
+    assert refused == [(6_154_000, 1)]
+    assert [fs.timeouts for fs in res.flow_stats] == [[], []]
+    assert {fid: [t for t, _, _ in h] for fid, h in res.trace.halvings.items()} == {
+        0: [570_000, 2_746_000, 5_932_000, 8_656_000, 11_262_000, 14_000_000, 16_876_000,
+            19_474_000],
+        1: [1_584_000, 5_056_000, 8_668_000, 11_424_000, 14_072_000, 16_618_000, 19_534_000]}
+    assert len(res.trace.drops) == 129
+    assert extract_check_facts(res).halving_gaps_ok
