@@ -3,30 +3,16 @@ congestion control sharing a drop-tail FIFO bottleneck."""
 
 __version__ = "0.1.0"
 
-from .engine import Engine, EventKind, SchedulingInPast
-from .ledbat import LedbatFlow
-from .tcp import TcpFlow
-from .network import AckPath, Bottleneck, Packet
-from .metrics import AllZeroRates, MetricsReport, aggregate_runs, jain_fairness, loss_rate, utilization
+from .metrics import AllZeroRates, MetricsReport, aggregate_runs, jain_fairness
 from .harness import RunResult, detect_starvation, run_scenario, run_table1
 from .scenario import Scenario, UsageError, get_preset, load_scenario, preset_names
 from .transport import FlowSpec
 
 __all__ = [
-    "Engine",
-    "EventKind",
-    "SchedulingInPast",
-    "LedbatFlow",
-    "TcpFlow",
-    "AckPath",
-    "Bottleneck",
-    "Packet",
     "AllZeroRates",
     "MetricsReport",
     "aggregate_runs",
     "jain_fairness",
-    "loss_rate",
-    "utilization",
     "FlowSpec",
     "RunResult",
     "Scenario",

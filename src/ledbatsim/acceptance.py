@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .harness import RunResult, detect_starvation, extract_check_facts, run_scenario, run_table1
-from .metrics import compute_report, jain_fairness, utilization
+from .metrics import compute_report, jain_fairness
 from .scenario import Scenario, get_preset
 from .transport import FlowSpec
 
@@ -103,9 +103,8 @@ def _criterion_1(fig2a: RunResult, tcp_alone: RunResult):
     # 1d: how much the delay-based flow lifts utilization beyond the
     # loss-based flow's own share of the same run (relative percent), with the
     # solo run reported for context.
-    span = (fig2a.metrics.t0_us, fig2a.metrics.t1_us)
     eta_total = fig2a.metrics.eta_percent
-    eta_tcp_share = utilization(tr, span, flow_id=tcp_id)
+    eta_tcp_share = 100.0 * fig2a.metrics.flow_rates_bps[tcp_id] / tr.capacity_bps
     gain = 100.0 * (eta_total - eta_tcp_share) / eta_tcp_share
     return {
         "1a": (f"queue={q_star} pkts at t={ts[i_star] / S:.2f} s "

@@ -63,7 +63,7 @@ def _run_and_write(targets, args) -> int:
     for scenario in scenarios:
         scenario.validate()
         try:
-            check_sample_us(sample_us, scenario.duration_us)
+            check_sample_us(sample_us, scenario)
         except UsageError as exc:
             raise UsageError(f"--sample-ms {args.sample_ms:g} for {scenario.name}: {exc}") from None
     paths = _prepare_paths(Path(args.out), [f"{s.name}-{kind}.csv" for s in scenarios

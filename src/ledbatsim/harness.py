@@ -84,25 +84,12 @@ class TraceSet:
         """Index of the tick a delay series starts at (the tick count if it is empty)."""
         return len(self.sample_t_us) - len(series)
 
-    def _sample_index_at(self, t_us: int) -> int:
+    def tick_at(self, t_us: int) -> int:
+        """Index of the last kept tick at or before t_us."""
         i = bisect.bisect_right(self.sample_t_us, t_us) - 1
         if i < 0:
             raise ValueError(f"t={t_us} precedes the first sample")
         return i
-
-    def _between(self, series, t0_us, t1_us) -> int:
-        return series[self._sample_index_at(t1_us)] - series[self._sample_index_at(t0_us)]
-
-    def delivered_bytes_between(self, t0_us: int, t1_us: int, flow_id: int | None = None) -> int:
-        if flow_id is None:  # the link: whole bytes, so the sum over flows is exact
-            return sum(self.delivered_bytes_between(t0_us, t1_us, fid) for fid in self.flow_ids)
-        return self._between(self.delivered_bytes[flow_id], t0_us, t1_us)
-
-    def offered_between(self, t0_us: int, t1_us: int) -> int:
-        return self._between(self.link_offered, t0_us, t1_us)
-
-    def dropped_between(self, t0_us: int, t1_us: int) -> int:
-        return self._between(self.link_dropped, t0_us, t1_us)
 
 
 @dataclass
@@ -231,12 +218,21 @@ class _Simulation:
             self.trace.halvings[s.flow_id] = list(s.halvings)
 
 
-def check_sample_us(sample_us: int, duration_us: int) -> None:
-    """A sampling period: an int number of microseconds in (0, duration_us],
-    so that a run holds at least its first and last tick."""
+def check_sample_us(sample_us: int, scenario: Scenario) -> None:
+    """A sampling period for a valid scenario: an int number of microseconds
+    in (0, duration_us], so that a run holds at least its first and last
+    tick, and one whose last tick comes after the latest start the second
+    flow can draw, so that the measurement interval's ends read two ticks."""
+    duration_us = scenario.duration_us
     if type(sample_us) is not int or not 0 < sample_us <= duration_us:
         raise UsageError(f"sampling period must be an int of us within (0, {duration_us}], "
                          f"not {sample_us!r}")
+    if len(scenario.flows) > 1:
+        latest_us = scenario.latest_second_start_us()
+        last_tick_us = duration_us // sample_us * sample_us
+        if latest_us >= last_tick_us:
+            raise UsageError(f"second flow may start at {latest_us / 1e6:g} s, "
+                             f"not before the last tick at {last_tick_us / 1e6:g} s")
 
 
 def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US,
@@ -256,7 +252,7 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US,
     facts are the same.
     """
     scenario.validate()
-    check_sample_us(sample_us, scenario.duration_us)
+    check_sample_us(sample_us, scenario)
     resolved = resolve_starts(scenario, scenario.seed, 0, 0)
     t0_us = resolved.flows[1].start_us if len(resolved.flows) > 1 else 0
     ticks = None
@@ -301,11 +297,12 @@ def detect_starvation(trace: TraceSet):
     open_eps: dict[int, StarvationEpisode] = {}
     t = 0
     while t + window_us <= end_us:
+        i0, i1 = trace.tick_at(t), trace.tick_at(t + window_us)
         rates = {
-            fid: 8 * trace.delivered_bytes_between(t, t + window_us, fid) / (window_us / 1e6)
+            fid: 8 * (trace.delivered_bytes[fid][i1] - trace.delivered_bytes[fid][i0])
+            / (window_us / 1e6)
             for fid in trace.flow_ids
         }
-        i1 = trace._sample_index_at(t + window_us)
         for fid in trace.flow_ids:
             if trace.delivered_bytes[fid][i1] == 0:
                 continue  # flow has not sent anything yet: silence, not starvation

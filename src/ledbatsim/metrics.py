@@ -25,31 +25,6 @@ def jain_fairness(rates) -> float:
     return (total * total) / (len(rates) * squares)
 
 
-def utilization(trace, interval, flow_id: int | None = None) -> float:
-    """Percent of the trace's link capacity carried over [t0_us, t1_us].
-
-    Counts bits of packets that finished service inside the interval
-    (retransmissions included); flow_id restricts to one flow's contribution.
-    A packet completing just inside t0 counts whole, which can push a
-    saturated interval a fraction of a packet over 100; clamped.
-    """
-    t0_us, t1_us = interval
-    if t1_us <= t0_us:
-        raise ValueError("empty interval")
-    bits = 8 * trace.delivered_bytes_between(t0_us, t1_us, flow_id)
-    pct = 100.0 * bits / (trace.capacity_bps * (t1_us - t0_us) / 1_000_000)
-    return min(pct, 100.0)
-
-
-def loss_rate(trace, interval) -> float:
-    """Dropped fraction of everything offered to the bottleneck over the interval."""
-    t0_us, t1_us = interval
-    offered = trace.offered_between(t0_us, t1_us)
-    if offered == 0:
-        return 0.0
-    return trace.dropped_between(t0_us, t1_us) / offered
-
-
 @dataclass
 class MetricsReport:
     eta_percent: float
@@ -61,17 +36,31 @@ class MetricsReport:
 
 
 def compute_report(trace, interval) -> MetricsReport:
-    """Standard per-run report over one measurement interval."""
+    """Standard per-run report over one measurement interval [t0_us, t1_us].
+
+    Each quantity is the change of a cumulative counter between the ticks
+    `trace.tick_at` finds for the two ends. The flows' rates count the bytes
+    of packets that finished service inside the interval (retransmissions
+    included), and eta their sum as a percent of the link capacity. A packet
+    completing just inside t0 counts whole, which can push a saturated
+    interval a fraction of a packet over 100; clamped. The loss rate is the
+    dropped fraction of everything offered to the bottleneck.
+    """
     t0_us, t1_us = interval
-    span_s = (t1_us - t0_us) / 1_000_000
-    rates = tuple(
-        8 * trace.delivered_bytes_between(t0_us, t1_us, fid) / span_s
-        for fid in trace.flow_ids
-    )
+    if t1_us <= t0_us:
+        raise ValueError("empty interval")
+    i0, i1 = trace.tick_at(t0_us), trace.tick_at(t1_us)
+    span_us = t1_us - t0_us
+    deltas = [trace.delivered_bytes[fid][i1] - trace.delivered_bytes[fid][i0]
+              for fid in trace.flow_ids]
+    rates = tuple(8 * d / (span_us / 1_000_000) for d in deltas)
+    bits = 8 * sum(deltas)  # whole bytes, so the sum over flows is exact
+    offered = trace.link_offered[i1] - trace.link_offered[i0]
+    dropped = trace.link_dropped[i1] - trace.link_dropped[i0]
     return MetricsReport(
-        eta_percent=utilization(trace, interval),
+        eta_percent=min(100.0 * bits / (trace.capacity_bps * span_us / 1_000_000), 100.0),
         fairness=jain_fairness(rates),
-        loss_rate=loss_rate(trace, interval),
+        loss_rate=dropped / offered if offered else 0.0,
         t0_us=t0_us,
         t1_us=t1_us,
         flow_rates_bps=rates,

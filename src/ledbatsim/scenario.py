@@ -118,20 +118,21 @@ class Scenario:
                 and all(isinstance(g, int) and g > 0 for g in f.gain)
             ):
                 raise ValidationError(f"flow {i}: gain must be a pair of positive ints")
-        if len(self.flows) > 1:
-            # the latest start resolve_starts can draw for the second flow
-            if self.delta_t_mode == "uniform":
-                latest_s = UNIFORM_START_MAX_S
-            else:
-                latest_s = self.flows[1].start_s + self.start_jitter_s
-            if int(round(latest_s * 1_000_000)) >= duration_us:
-                raise ValidationError(
-                    f"second flow may start at {latest_s:g} s, not before duration_s"
-                )
+        if len(self.flows) > 1 and self.latest_second_start_us() >= duration_us:
+            raise ValidationError(f"second flow may start at "
+                                  f"{self.latest_second_start_us() / 1e6:g} s, not before duration_s")
 
     @property
     def duration_us(self) -> int:
         return int(round(self.duration_s * 1_000_000))
+
+    def latest_second_start_us(self) -> int:
+        """The latest start resolve_starts can draw for the second flow."""
+        if self.delta_t_mode == "uniform":
+            latest_s = UNIFORM_START_MAX_S
+        else:
+            latest_s = self.flows[1].start_s + self.start_jitter_s
+        return int(round(latest_s * 1_000_000))
 
 
 def check_seed(seed: int) -> None:

@@ -123,6 +123,10 @@ SUB_US_DURATION = TINY_SCENARIO.replace("duration_s = 15\n", "duration_s = 0.000
     "start_s = 2\n", "start_s = 0\n")
 START_AT_THE_END = TINY_SCENARIO.replace("duration_s = 15\n", "duration_s = 1\n").replace(
     "start_s = 2\n", "start_s = 0.9999996\n")
+# a second start after the last 10 ms tick: both ends of the measurement
+# interval read that tick, so every rate was 0 and the run ended in a traceback
+START_AFTER_THE_LAST_TICK = TINY_SCENARIO.replace(
+    "duration_s = 15\n", "duration_s = 20.005\n").replace("start_s = 2\n", "start_s = 20.001\n")
 # the name is the output file stem: this one used to write beside --out
 ESCAPED_NAME = TINY_SCENARIO.replace("name = cli-probe", "name = ../escaped")
 
@@ -135,8 +139,11 @@ ESCAPED_NAME = TINY_SCENARIO.replace("name = cli-probe", "name = ../escaped")
     (INF_DURATION, "0"),
     (NAN_JITTER, "0"),
     (ESCAPED_NAME, "0"),
+    (START_AFTER_THE_LAST_TICK, "0"),
+    (START_AFTER_THE_LAST_TICK, "5"),
 ], ids=["sub-us-target", "uniform-seed2", "uniform-seed3", "nan-target", "inf-duration",
-        "nan-jitter", "escaped-name"])
+        "nan-jitter", "escaped-name", "start-after-last-tick-seed0",
+        "start-after-last-tick-seed5"])
 def test_run_rejects_scenario_the_run_cannot_use(tmp_path, capsys, text, seed):
     p = tmp_path / "bad.scn"
     p.write_text(text, encoding="utf-8")

@@ -104,7 +104,7 @@ def test_flow_start_times_are_honored():
     scn = _tiny(duration_s=12.0,
                 flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=6.0)])
     tr = run_scenario(scn, sample_us=100_000).trace
-    i_before = tr._sample_index_at(5 * S)
+    i_before = tr.tick_at(5 * S)
     assert tr.delivered_bytes[1][i_before] == 0
     assert tr.delivered_bytes[1][-1] > 0
 
@@ -119,6 +119,22 @@ def test_run_rejects_a_sampling_period_outside_the_run(sample_us):
     # 10**9 us is longer than the 20 s run, which would then hold one tick
     with pytest.raises(UsageError, match=r"sampling period must be an int of us within \(0, "):
         run_scenario(_tiny(), sample_us=sample_us)
+
+
+@pytest.mark.parametrize("scenario,sample_us", [
+    # the second flow starts after the last tick, at 20 s: both ends of the
+    # measurement interval read that tick, and every rate was 0
+    (_tiny(duration_s=20.005, flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=20.001)]),
+     DEFAULT_SAMPLE_US),
+    # the same with a start before the last tick that its jitter can pass
+    (_tiny(flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=14.0)], start_jitter_s=1.0),
+     7 * S),
+    # a drawn start falls in [0, 10) s, after the last tick of a 10.005 s run
+    (_tiny(duration_s=10.005, delta_t_mode="uniform"), DEFAULT_SAMPLE_US),
+], ids=["fixed", "jitter", "uniform"])
+def test_run_rejects_a_second_start_the_last_tick_cannot_follow(scenario, sample_us):
+    with pytest.raises(UsageError, match="not before the last tick at"):
+        run_scenario(scenario, sample_us=sample_us)
 
 
 def test_run_scenario_frees_its_run_without_the_cycle_collector():

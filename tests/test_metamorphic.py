@@ -130,7 +130,7 @@ def test_a_run_keeping_two_ticks_measures_what_the_full_run_does(run):
     full, full_events = counted_run(scn)
     two, events = counted_run(scn, full_trace=False)
     a, b = full.trace, two.trace
-    kept = sorted({a._sample_index_at(full.metrics.t0_us), len(a.sample_t_us) - 1})
+    kept = sorted({a.tick_at(full.metrics.t0_us), len(a.sample_t_us) - 1})
     for name in LINK_SERIES:
         assert list(getattr(b, name)) == [getattr(a, name)[i] for i in kept], name
     for name in FLOW_SERIES:

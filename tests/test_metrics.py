@@ -1,4 +1,4 @@
-"""Fairness index, utilization, loss rate, cross-run aggregation."""
+"""Fairness index, the per-run report (utilization, loss rate), cross-run aggregation."""
 
 import math
 import random
@@ -12,8 +12,6 @@ from ledbatsim.metrics import (
     aggregate_runs,
     compute_report,
     jain_fairness,
-    loss_rate,
-    utilization,
 )
 
 S = 1_000_000
@@ -72,27 +70,34 @@ def test_jain_bounds_and_scale_invariance_random_vectors():
 
 
 def test_utilization_counts_delivered_bits():
+    rep = compute_report(_trace(), (0, S))
+    assert rep.eta_percent == 100.0  # 1.25 MB in 1 s fills 10 Mbps
+    assert 100.0 * rep.flow_rates_bps[0] / 10_000_000 == 50.0  # one flow's share
     tr = _trace()
-    assert utilization(tr, (0, S)) == 100.0  # 1.25 MB in 1 s fills 10 Mbps
-    assert utilization(tr, (0, S), flow_id=0) == 50.0
     tr.capacity_bps = 20_000_000
-    assert utilization(tr, (0, S)) == 50.0
+    assert compute_report(tr, (0, S)).eta_percent == 50.0
+
+
+def test_utilization_is_clamped_at_the_capacity():
+    tr = _trace()
+    tr.delivered_bytes = {0: [0, 625_000], 1: [0, 626_500]}  # one packet over
+    assert compute_report(tr, (0, S)).eta_percent == 100.0
 
 
 def test_utilization_rejects_empty_interval():
     with pytest.raises(ValueError):
-        utilization(_trace(), (S, S))
+        compute_report(_trace(), (S, S))
 
 
 def test_loss_rate_is_dropped_over_offered():
-    assert loss_rate(_trace(), (0, S)) == pytest.approx(0.05)
+    assert compute_report(_trace(), (0, S)).loss_rate == pytest.approx(0.05)
 
 
 def test_loss_rate_zero_when_nothing_offered():
     tr = _trace()
     tr.link_offered = [0, 0]
     tr.link_dropped = [0, 0]
-    assert loss_rate(tr, (0, S)) == 0.0
+    assert compute_report(tr, (0, S)).loss_rate == 0.0
 
 
 def test_compute_report_bundles_all_three():
@@ -102,6 +107,20 @@ def test_compute_report_bundles_all_three():
     assert rep.loss_rate == pytest.approx(0.05)
     assert rep.flow_rates_bps == (5_000_000.0, 5_000_000.0)
     assert (rep.t0_us, rep.t1_us) == (0, S)
+
+
+def test_compute_report_reads_the_ticks_at_or_before_the_ends():
+    # ticks at 0, S/2 and S: the interval [S/4, S] reads the ticks at 0 and
+    # S, but its rates divide by its own 0.75 s
+    tr = TraceSet([0, 1], 10_000_000, S, S // 2)
+    tr.link_offered = [0, 40, 100]
+    tr.link_dropped = [0, 1, 5]
+    tr.delivered_bytes = {0: [0, 300_000, 600_000], 1: [0, 100_000, 300_000]}
+    rep = compute_report(tr, (S // 4, S))
+    assert rep.flow_rates_bps == (8 * 600_000 / 0.75, 8 * 300_000 / 0.75)
+    assert rep.loss_rate == 5 / 100
+    with pytest.raises(AllZeroRates):  # both ends read the tick at S/2
+        compute_report(tr, (S // 2 + 1, S - 1))
 
 
 # -- aggregation --------------------------------------------------------------

@@ -132,10 +132,9 @@ def test_offer_at_the_heads_departure_time(offer_scheduled_first, accepted):
 # -- an oracle for whole runs ---------------------------------------------------
 
 
-@pytest.fixture
-def link_log(monkeypatch):
-    """(offers, departures) of the runs inside the test: each offer to a
-    Bottleneck as (t_us, accepted), each departure as its time,
+def log_link(monkeypatch):
+    """(offers, departures) of the runs made while `monkeypatch` holds: each
+    offer to a Bottleneck as (t_us, accepted), each departure as its time,
     in the order they happen. The only place that knows where the link
     judges an offer and where a packet leaves it."""
     offers, departures = [], []
@@ -153,6 +152,12 @@ def link_log(monkeypatch):
     monkeypatch.setattr(Bottleneck, "enqueue", logged_enqueue)
     monkeypatch.setattr(Bottleneck, "_service_done", logged_service_done)
     return offers, departures
+
+
+@pytest.fixture
+def link_log(monkeypatch):
+    """(offers, departures) of the runs inside the test, as log_link logs them."""
+    return log_link(monkeypatch)
 
 
 # the golden presets and the slowest link, six of the nine refusing offers in

@@ -4,6 +4,7 @@ import pytest
 
 from ledbatsim.engine import Engine
 from ledbatsim.network import Packet
+from ledbatsim.scenario import Scenario
 from ledbatsim.tcp import TcpFlow
 from ledbatsim.transport import FlowSpec
 
@@ -148,14 +149,20 @@ def test_solo_flow_drops_one_packet_per_halving(buffer_pkts, drops):
     assert stats.timeouts == []
 
 
+# two slow-start flows on a slow, short-RTT link, whose run has the gate refuse a halving
+GATED = Scenario(name="gated", capacity_bps=2_000_000, buffer_pkts=40,
+                 flows=[FlowSpec("tcp", slow_start=True),
+                        FlowSpec("tcp", start_s=1.0, slow_start=True)],
+                 rtt_base_us=20_000, duration_s=20.0)
+
+
 def test_the_once_per_rtt_gate_refuses_a_halving_in_a_whole_run(monkeypatch):
-    """Two slow-start flows on a slow, short-RTT link: at 6.154 s the second
-    flow's loss episode reaches on_loss 1.098 s after its last halving, inside
-    its smoothed RTT of 1.432 s, and the gate refuses it. No safety timeout
-    fires. The halving-gate check must hold on the run all the same;
-    without the gate, the extra halving lands inside the gap and fails it."""
+    """In GATED, at 6.154 s the second flow's loss episode reaches on_loss
+    1.098 s after its last halving, inside its smoothed RTT of 1.432 s, and
+    the gate refuses it. No safety timeout fires. The halving-gate check
+    must hold on the run all the same; without the gate, the extra halving
+    lands inside the gap and fails it (tests/test_mutants.py)."""
     from ledbatsim.harness import extract_check_facts, run_scenario
-    from ledbatsim.scenario import Scenario
     from ledbatsim.transport import SenderBase
 
     refused = []
@@ -168,11 +175,7 @@ def test_the_once_per_rtt_gate_refuses_a_halving_in_a_whole_run(monkeypatch):
         return applied
 
     monkeypatch.setattr(SenderBase, "_halve", recorded)
-    scn = Scenario(name="gated", capacity_bps=2_000_000, buffer_pkts=40,
-                   flows=[FlowSpec("tcp", slow_start=True),
-                          FlowSpec("tcp", start_s=1.0, slow_start=True)],
-                   rtt_base_us=20_000, duration_s=20.0)
-    res = run_scenario(scn)
+    res = run_scenario(GATED)
     assert refused == [(6_154_000, 1)]
     assert [fs.timeouts for fs in res.flow_stats] == [[], []]
     assert {fid: [t for t, _, _ in h] for fid, h in res.trace.halvings.items()} == {
