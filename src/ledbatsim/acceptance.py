@@ -4,7 +4,8 @@ Each criterion runs real scenarios and compares measured dynamics against a
 fixed expectation band. Exact properties (trajectory equalities, conservation,
 bounds) are checked alongside the statistical bands so a single report covers
 both. The same routine backs the `check` CLI command and the acceptance test
-module; it prints nothing itself.
+module; it prints nothing itself. The relations 6b and 6c compare runs, through
+`offset_divergence` and `law_divergence`, which the corpus tests call too.
 """
 
 import contextlib
@@ -14,7 +15,8 @@ import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .harness import RunResult, detect_starvation, extract_check_facts, run_scenario, run_table1
+from .harness import (RunResult, TraceSet, detect_starvation, extract_check_facts, run_scenario,
+                      run_table1)
 from .metrics import compute_report, jain_fairness
 from .scenario import Scenario, get_preset
 from .transport import FlowSpec
@@ -187,52 +189,54 @@ def _pooled_facts(facts):
     }
 
 
-def _offset_scenario(offset_us: int) -> Scenario:
-    base = get_preset("fig2b")  # an independent copy, flows included
-    base.flows[1].clock_offset_us = offset_us
-    return replace(base, name=f"offset-{offset_us}", duration_s=70.0)
+def law_divergence(a: TraceSet, b: TraceSet) -> list[str]:
+    """The series of the window law on which traces `a` and `b` differ."""
+    return [name for name in ("cwnd_pkts", "queue_pkts", "halvings", "drops")
+            if getattr(a, name) != getattr(b, name)]
+
+
+def offset_divergence(scn: Scenario, trace: TraceSet, moves: list[int]) -> list[str]:
+    """Rerun `scn`, whose run left `trace`, with flow i's clock offset moved by
+    `moves[i]`, and name what changed: the law's series or the queuing
+    estimates, and `base_delay_us` unless each delay-based flow's base series
+    starts at the same tick and moves by exactly its flow's move. Empty when
+    the offsets cancel out (6b)."""
+    b = run_scenario(replace(scn, flows=[replace(f, clock_offset_us=f.clock_offset_us + move)
+                                         for f, move in zip(scn.flows, moves)])).trace
+    bad = law_divergence(trace, b)
+    if b.queuing_est_us != trace.queuing_est_us:
+        bad.append("queuing_est_us")
+    if not all(b.first_tick(b.base_delay_us[fid]) == trace.first_tick(base)
+               and list(b.base_delay_us[fid]) == [d + moves[fid] for d in base]
+               for fid, base in trace.base_delay_us.items()):
+        bad.append("base_delay_us")
+    return bad
+
+
+def pinned_and_loss_based(scn: Scenario) -> tuple[Scenario, Scenario]:
+    """Two copies of `scn` with every flow's slow start off: in one, each
+    delay-based flow pins its estimator to zero, unpaced at the default gain;
+    in the other, every flow is loss-based. 6c holds when their runs show no
+    `law_divergence`."""
+    flows = [replace(f, slow_start=False) for f in scn.flows]
+    pinned = [replace(f, pin_zero_queuing_delay=True, pacing=False, gain=None)
+              if f.kind == "ledbat" else f for f in flows]
+    return replace(scn, flows=pinned), replace(scn, flows=[replace(f, kind="tcp") for f in flows])
 
 
 def _criterion_6b():
-    baseline = run_scenario(_offset_scenario(0))
-    offsets = [S, -S, 3_600 * S, -3_600 * S]
-    bad = []
-    for off in offsets:
-        r = run_scenario(_offset_scenario(off))
-        same = (
-            all(r.trace.cwnd_pkts[fid] == baseline.trace.cwnd_pkts[fid]
-                for fid in r.trace.flow_ids)
-            and r.trace.queue_pkts == baseline.trace.queue_pkts
-            and r.trace.drops == baseline.trace.drops
-            and r.trace.halvings == baseline.trace.halvings
-            and r.trace.queuing_est_us[1] == baseline.trace.queuing_est_us[1]
-        )
-        base0, base = baseline.trace.base_delay_us[1], r.trace.base_delay_us[1]
-        shifted = (  # both runs have the same ticks, by queue_pkts above
-            r.trace.first_tick(base) == baseline.trace.first_tick(base0)
-            and all(b == a + off for a, b in zip(base0, base))
-        )
-        if not (same and shifted):
-            bad.append(off)
+    scn = replace(get_preset("fig2b"), duration_s=70.0)
+    trace = run_scenario(scn).trace
+    bad = [off for off in (S, -S, 3_600 * S, -3_600 * S)
+           if offset_divergence(scn, trace, [0, off])]
     return {"6b": ("all offset runs identical" if not bad else f"divergence at offsets {bad}",
                    not bad)}
 
 
 def _criterion_6c():
-    common = dict(capacity_bps=10_000_000, buffer_pkts=40, duration_s=80.0)
-    pinned = Scenario(
-        name="degen-delay-pinned",
-        flows=[FlowSpec(kind="ledbat", pacing=False, pin_zero_queuing_delay=True)],
-        **common,
-    )
-    tcp = Scenario(name="degen-loss-based", flows=[FlowSpec(kind="tcp")], **common)
-    r_pin = run_scenario(pinned)
-    r_tcp = run_scenario(tcp)
-    same = (
-        r_pin.trace.cwnd_pkts[0] == r_tcp.trace.cwnd_pkts[0]
-        and r_pin.trace.halvings[0] == r_tcp.trace.halvings[0]
-        and r_pin.trace.drops == r_tcp.trace.drops
-    )
+    scn = Scenario(name="degen", capacity_bps=10_000_000, buffer_pkts=40, duration_s=80.0,
+                   flows=[FlowSpec(kind="ledbat")])
+    same = not law_divergence(*(run_scenario(s).trace for s in pinned_and_loss_based(scn)))
     return {"6c": ("window trajectories bit-identical" if same else "trajectories diverge", same)}
 
 

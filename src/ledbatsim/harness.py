@@ -130,7 +130,7 @@ class _Simulation:
             self.senders.append(sender_cls(self.engine, fid, self.link, spec))
             self.receivers.append(Receiver(spec.clock_offset_us))
 
-        ledbats = [s for s in self.senders if s.kind == "ledbat"]
+        ledbats = [s for s in self.senders if isinstance(s, LedbatFlow)]
         tr = self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps,
                                    self.duration_us, sample_us, [s.flow_id for s in ledbats],
                                    ticks)

@@ -66,8 +66,6 @@ class LedbatFlow(SenderBase):
     sampling tick read it from there.
     """
 
-    kind = "ledbat"
-
     def __init__(self, engine: Engine, flow_id: int, link: Bottleneck, spec: FlowSpec):
         super().__init__(engine, flow_id, link)
         # read on every ack, so held as plain attributes

@@ -13,8 +13,6 @@ from .transport import MIN_CWND_PKTS, FlowSpec, SenderBase
 
 
 class TcpFlow(SenderBase):
-    kind = "tcp"
-
     def __init__(self, engine: Engine, flow_id: int, link: Bottleneck, spec: FlowSpec):
         super().__init__(engine, flow_id, link)
         self.ss_active = spec.slow_start

@@ -104,8 +104,7 @@ class Receiver:
 class SenderBase:
     """Window-based sender. Subclasses implement the congestion controller."""
 
-    kind = "base"
-    pacing = False  # a pacing sender reads pacing_gap_us() before it sends
+    pacing = False  # a pacing subclass defines pacing_gap_us(), read before each send
 
     def __init__(self, engine: Engine, flow_id: int, link: Bottleneck):
         self.engine = engine
@@ -140,10 +139,6 @@ class SenderBase:
 
     def on_loss(self, now: int) -> None:
         raise NotImplementedError
-
-    def pacing_gap_us(self) -> int:
-        """Microseconds between paced sends; 0 means batch mode."""
-        return 0
 
     # -- sending -----------------------------------------------------------
 

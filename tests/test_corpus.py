@@ -17,18 +17,20 @@ Each generated run must also hold the exact properties: conservation at
 every tick, the window floor, the halving gate, the per-ack bound of the
 default gain, and clock-offset invariance (acceptance 6b). With slow start
 off, each must also degenerate to the loss-based law when its delay-based
-flows pin their estimator to zero (acceptance 6c).
+flows pin their estimator to zero (acceptance 6c). Both relations are the
+ones `ledbatsim check` runs: `offset_divergence` and `law_divergence`.
 """
 
 import functools
 import json
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from ledbatsim.acceptance import law_divergence, offset_divergence, pinned_and_loss_based
 from ledbatsim.engine import FRONT, Engine
 from ledbatsim.harness import DEFAULT_SAMPLE_US, extract_check_facts, run_scenario
 from ledbatsim.scenario import UNIFORM_START_MAX_S, Scenario, service_time_us
@@ -205,20 +207,12 @@ def test_generated_scenario_holds_the_window_floor_halving_gate_and_per_ack_boun
             assert stats.max_update_ratio <= 1.0
 
 
-def assert_clock_offset_invariant(scn, a):
-    """Rerun `scn`, whose run left trace `a`, with each flow's offset moved by
+def assert_clock_offset_invariant(scn, trace):
+    """Rerun `scn`, whose run left `trace`, with each flow's offset moved by
     an hour, toward zero at the largest valid ones: only the base delays move,
     and by exactly that hour."""
     moves = [-HOUR_US if f.clock_offset_us == 2**62 else HOUR_US for f in scn.flows]
-    moved = replace(scn, flows=[replace(f, clock_offset_us=f.clock_offset_us + move)
-                                for f, move in zip(scn.flows, moves)])
-    b = run_scenario(moved).trace
-    assert b.cwnd_pkts == a.cwnd_pkts and b.queue_pkts == a.queue_pkts
-    assert b.drops == a.drops and b.halvings == a.halvings
-    assert b.queuing_est_us == a.queuing_est_us
-    for fid, base in a.base_delay_us.items():
-        assert b.first_tick(b.base_delay_us[fid]) == a.first_tick(base)
-        assert list(b.base_delay_us[fid]) == [d + moves[fid] for d in base]
+    assert offset_divergence(scn, trace, moves) == []
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED))
@@ -226,29 +220,17 @@ def test_generated_scenario_is_clock_offset_invariant(name):
     assert_clock_offset_invariant(GENERATED[name], _run(name)[0].trace)
 
 
-def _pinned_and_loss_based(scn):
-    """Two copies of `scn` with every flow's slow start off: in one, each
-    delay-based flow pins its estimator to zero, unpaced at the default gain;
-    in the other, every flow is loss-based."""
-    flows = [replace(f, slow_start=False) for f in scn.flows]
-    pinned = [replace(f, pin_zero_queuing_delay=True, pacing=False, gain=None)
-              if f.kind == "ledbat" else f for f in flows]
-    return replace(scn, flows=pinned), replace(scn, flows=[replace(f, kind="tcp") for f in flows])
-
-
 @functools.cache
 def _degenerate_runs(name):
     """The traces of both copies of a generated scenario."""
-    return tuple(run_scenario(scn).trace for scn in _pinned_and_loss_based(GENERATED[name]))
+    return tuple(run_scenario(scn).trace for scn in pinned_and_loss_based(GENERATED[name]))
 
 
 @pytest.mark.parametrize("name", sorted(RECORDED))
 def test_generated_scenario_with_the_estimator_pinned_follows_the_loss_based_law(name):
     # acceptance 6c on a generated scenario: the same windows, queue,
     # halvings and drops, exactly
-    a, b = _degenerate_runs(name)
-    assert a.cwnd_pkts == b.cwnd_pkts and a.queue_pkts == b.queue_pkts
-    assert a.halvings == b.halvings and a.drops == b.drops
+    assert law_divergence(*_degenerate_runs(name)) == []
 
 
 def test_the_pinned_estimator_relation_sees_a_delay_based_flow_halve():

@@ -8,11 +8,14 @@ exception to relabelling: at equal start times the flow-list order breaks the
 tie, and flow 0 transmits first. Scale: the window laws count packets and the
 link serves each in packet_bytes * 8 / capacity_bps, so multiplying both by
 the same k leaves every event where it was and multiplies only the delivered
-bytes; that holds only while the packet size has one owner. Two ticks: a
-run whose trace keeps only the tick at or before the measurement interval's
-start and the last tick (`full_trace=False`, as the grid's batch runs ask)
-dispatches the same events and gives the same metrics and check facts as the
-full run, and the ticks it keeps hold the full run's values.
+bytes; that holds only while the packet size has one owner. It is checked on
+three presets and on the generated scenarios of the digest corpus, at k = 2
+and 3; the float metrics match bit for bit at k = 2, and at k = 3 only where
+the capacity is round. Two ticks: a run whose trace keeps only the tick at
+or before the measurement interval's start and the last tick
+(`full_trace=False`, as the grid's batch runs ask) dispatches the same events
+and gives the same metrics and check facts as the full run, and the ticks it
+keeps hold the full run's values.
 """
 
 from array import array
@@ -74,9 +77,14 @@ def test_reversing_the_flow_list_mirrors_a_late_start_pair(preset):
     assert {last - fid: h for fid, h in fwd.halvings.items()} == rev.halvings
 
 
-@pytest.mark.parametrize("preset", ["fig2a", "fig3-bottom", "adsl-up-b10-tcp-vs-ledbat"])
-def test_scaling_rate_and_packet_size_together_scales_only_the_bytes(preset):
-    scn = replace(get_preset(preset), duration_s=30.0)
+# three presets cut to 30 s, and the generated scenarios of the digest corpus
+SCALING_RUNS = {p: replace(get_preset(p), duration_s=30.0)
+                for p in ("fig2a", "fig3-bottom", "adsl-up-b10-tcp-vs-ledbat")} | GENERATED
+
+
+@pytest.mark.parametrize("run", list(SCALING_RUNS))
+def test_scaling_rate_and_packet_size_together_scales_only_the_bytes(run):
+    scn = SCALING_RUNS[run]
     base = run_scenario(scn)
     a = base.trace
     assert all(series[-1] > 0 for series in a.delivered_bytes.values())
@@ -92,9 +100,12 @@ def test_scaling_rate_and_packet_size_together_scales_only_the_bytes(preset):
             fid: array("q", (k * v for v in series)) for fid, series in a.delivered_bytes.items()}
         assert b.drops == a.drops, k
         assert b.halvings == a.halvings, k
-        m, n = base.metrics, scaled.metrics
-        assert (n.eta_percent, n.fairness, n.loss_rate) == (
-            m.eta_percent, m.fairness, m.loss_rate), k
+        # the metrics divide by k * capacity_bps: exact at k = 2, a power of
+        # two, and at k = 3 only for the presets' round capacities
+        if k == 2 or run not in GENERATED:
+            m, n = base.metrics, scaled.metrics
+            assert (n.eta_percent, n.fairness, n.loss_rate) == (
+                m.eta_percent, m.fairness, m.loss_rate), k
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -24,7 +24,7 @@ import test_harness
 import test_metamorphic
 import test_network
 import test_scenario
-from ledbatsim import harness, ledbat
+from ledbatsim import acceptance, harness, ledbat, scenario
 from ledbatsim.engine import FRONT, Engine
 from ledbatsim.harness import TraceSet, _Simulation, extract_check_facts, run_scenario
 from ledbatsim.ledbat import LedbatFlow
@@ -65,6 +65,23 @@ def draws_without_the_shift(mp):
                lambda self, low, high: low + (high - low) * (self._next64() * 2.0**-53))
 
 
+def seed_words_swapped(mp):
+    """The generator's two 64-bit seed words added to its state in the other
+    order. Its output folds the state's halves with a symmetric xor, so the
+    seed is where a swap shows."""
+    init = Pcg64.__init__
+    inverse = pow(scenario._PCG_MULT, -1, 1 << 128)
+    m128 = (1 << 128) - 1
+
+    def swapped(self, *entropy):
+        init(self, *entropy)
+        # the seeding ended in state = (inc + seed) * mult + inc: undo it
+        seed = ((self._state - self._inc) * inverse - self._inc) & m128
+        self._state = (self._inc + (seed >> 64 | seed << 64 & m128)) & m128
+        self._step()
+    mp.setattr(Pcg64, "__init__", swapped)
+
+
 def ledbat_floor_halved(mp):
     """The delay-based window floors at half a packet."""
     mp.setattr(ledbat, "MIN_CWND_PKTS", 0.5)
@@ -79,6 +96,16 @@ def _estimate_plus(extra):
             self.queuing_delay_est_us += extra(ack.measured_delay_us)
         mp.setattr(LedbatFlow, "on_delay_sample", skewed)
     return patch
+
+
+def pin_ignored(mp):
+    """A delay-based flow estimates its queuing delay even when pinned to zero."""
+    init = LedbatFlow.__init__
+
+    def estimates(self, *args):
+        init(self, *args)
+        self.pin_zero_queuing_delay = False
+    mp.setattr(LedbatFlow, "__init__", estimates)
 
 
 def minimum_at_kept_ticks(mp):
@@ -147,6 +174,14 @@ def corpus_run_is_clock_offset_invariant(mp):
     test_corpus.assert_clock_offset_invariant(scn, run_scenario(scn).trace)
 
 
+def check_finds_the_offsets_cancel_out(mp):
+    assert acceptance._criterion_6b()["6b"][1]
+
+
+def check_finds_the_pinned_estimator_follows_the_loss_based_law(mp):
+    assert acceptance._criterion_6c()["6c"][1]
+
+
 def delay_based_pair_keeps_the_per_ack_bound(mp):
     scn = replace(get_preset("fig2b"), duration_s=2.0)  # both flows at the default gain
     assert extract_check_facts(run_scenario(scn)).max_update_ratio <= 1.0
@@ -170,9 +205,13 @@ MUTANTS = [
     ("halving-gate-removed", ungated_halving, gated_run_keeps_its_halving_gaps),
     ("service-time-rounded-up", service_time_rounded_up, corpus_run_follows_lindley),
     ("pcg64-without-shift", draws_without_the_shift, draws_match_numpy),
+    ("pcg64-seed-words-swapped", seed_words_swapped, draws_match_numpy),
     ("ledbat-floor-halved", ledbat_floor_halved, corpus_run_keeps_the_window_floor),
     ("estimate-offset-dependent", _estimate_plus(lambda measured: measured % 7),
      corpus_run_is_clock_offset_invariant),
+    ("check-estimate-offset-dependent", _estimate_plus(lambda measured: measured % 7),
+     check_finds_the_offsets_cancel_out),
+    ("check-pin-ignored", pin_ignored, check_finds_the_pinned_estimator_follows_the_loss_based_law),
     ("estimate-1us-low", _estimate_plus(lambda measured: -1),
      delay_based_pair_keeps_the_per_ack_bound),
     ("minimum-at-kept-ticks", minimum_at_kept_ticks, two_tick_run_sees_every_window),

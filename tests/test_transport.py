@@ -11,6 +11,7 @@ from ledbatsim.engine import Engine, EventKind
 from ledbatsim.ledbat import LedbatFlow
 from ledbatsim.network import Packet
 from ledbatsim.scenario import get_preset
+from ledbatsim.tcp import TcpFlow
 from ledbatsim.transport import Receiver, SenderBase
 
 
@@ -369,16 +370,9 @@ def test_a_flows_pacing_gap_is_zero_until_it_turns_positive_for_good(pacing, mon
         assert zeros < len(series)
 
 
-def test_a_loss_based_flow_never_reads_a_pacing_gap(monkeypatch):
-    reads = []
-    gap_us = SenderBase.pacing_gap_us
-
-    def recorded(self):
-        reads.append(self.flow_id)
-        return gap_us(self)
-
-    monkeypatch.setattr(SenderBase, "pacing_gap_us", recorded)
+def test_a_loss_based_flow_never_reads_a_pacing_gap():
+    # it has none to read, so a run whose loss-based flow delivers never asked
+    assert not hasattr(TcpFlow, "pacing_gap_us")
     result = harness.run_scenario(_cut("fig2a"))  # flow 0 is loss-based
     assert result.scenario.flows[0].kind == "tcp"
     assert result.trace.delivered_bytes[0][-1] > 0
-    assert reads == []
