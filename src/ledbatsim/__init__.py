@@ -3,8 +3,8 @@ congestion control sharing a drop-tail FIFO bottleneck."""
 
 __version__ = "0.1.0"
 
-from .metrics import AllZeroRates, MetricsReport, aggregate_runs, jain_fairness
-from .harness import RunResult, detect_starvation, run_scenario, run_table1
+from .metrics import AllZeroRates, MetricsReport, aggregate_runs, detect_starvation, jain_fairness
+from .harness import RunResult, run_scenario, run_table1
 from .scenario import Scenario, UsageError, get_preset, load_scenario, preset_names
 from .transport import FlowSpec
 

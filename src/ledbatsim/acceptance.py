@@ -15,9 +15,8 @@ import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .harness import (RunResult, TraceSet, detect_starvation, extract_check_facts, run_scenario,
-                      run_table1)
-from .metrics import compute_report, jain_fairness
+from .harness import RunResult, TraceSet, extract_check_facts, run_scenario, run_table1
+from .metrics import compute_report, detect_starvation, jain_fairness
 from .scenario import Scenario, get_preset
 from .transport import FlowSpec
 

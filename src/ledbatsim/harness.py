@@ -1,6 +1,6 @@
 """Running and recording a scenario: wires its flows onto a shared
-bottleneck, runs them, samples traces, detects starvation, drives seeded
-multi-run batches for the summary grid, and writes the CSV outputs.
+bottleneck, runs them, samples traces, drives seeded multi-run batches for
+the summary grid, and writes the CSV outputs.
 
 What a scenario is (model, bounds, presets, file format) lives in
 scenario.py. Everything inside a run is exact integer-microsecond event
@@ -23,8 +23,6 @@ from .tcp import TcpFlow
 from .transport import MIN_TIMEOUT_US, Receiver, SenderBase
 
 DEFAULT_SAMPLE_US = 10_000
-STARVATION_WINDOW_S = 10.0
-STARVATION_THRESHOLD = 0.05  # of the fair share
 STATS_SAMPLE = EventKind.STATS_SAMPLE  # bound once, as in network.py
 TRACE_BLOCK_TICKS = 128  # ticks the trace writer formats at once, which bounds its memory
 
@@ -37,10 +35,12 @@ class TraceSet:
     """Columnar per-run trace: fixed-cadence samples plus event rows.
 
     The trace lays itself out. Tick k falls at k * sample_us, up to
-    duration_us. The trace keeps the ticks whose indexes are in the range
-    `ticks`, every tick by default, so the kept tick times are held as a
-    range too; the constructor allocates every series at the kept length,
-    zeroed, and the run's j-th kept tick writes entry j of each.
+    duration_us. With no `interval` the trace keeps every tick; given the
+    interval (t0_us, t1_us) it must answer, it keeps only the ticks at or
+    before its two ends, or one tick when they coincide. `sample_t_us`, a
+    range, holds the kept tick times; the constructor allocates every series
+    at its length, zeroed, and the tick at time t writes entry
+    `sample_t_us.index(t)` of each, if t is kept.
     A trace that keeps fewer ticks answers interval queries only at the
     ticks it kept, and the writer and starvation detection read it as if it
     had no others, so only the grid's batch runs ask for one.
@@ -58,14 +58,16 @@ class TraceSet:
     """
 
     def __init__(self, flow_ids, capacity_bps, duration_us, sample_us, delay_flow_ids=(),
-                 ticks=None):
+                 interval=None):
         self.flow_ids = list(flow_ids)
         self.capacity_bps = capacity_bps
         self.duration_us = duration_us
 
-        every_tick = range(0, duration_us + 1, sample_us)
-        self.ticks = range(len(every_tick)) if ticks is None else ticks
-        self.sample_t_us = every_tick[self.ticks.start:self.ticks.stop:self.ticks.step]
+        if interval is None:
+            self.sample_t_us = range(0, duration_us + 1, sample_us)
+        else:
+            first, last = (t_us // sample_us * sample_us for t_us in interval)
+            self.sample_t_us = range(first, last + 1, last - first or 1)
         n = len(self.sample_t_us)
         self.queue_pkts = array("q", [0]) * n
         self.link_offered = array("q", [0]) * n
@@ -112,7 +114,7 @@ class RunResult:
 
 
 class _Simulation:
-    def __init__(self, scenario: Scenario, sample_us: int, ticks=None):
+    def __init__(self, scenario: Scenario, sample_us: int, interval=None):
         self.scenario = scenario
         self.sample_us = sample_us
         self.duration_us = scenario.duration_us
@@ -133,9 +135,7 @@ class _Simulation:
         ledbats = [s for s in self.senders if isinstance(s, LedbatFlow)]
         tr = self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps,
                                    self.duration_us, sample_us, [s.flow_id for s in ledbats],
-                                   ticks)
-        # the next kept tick's index, and its entry in the series
-        self._keep_k, self._keep_step, self._keep_j = tr.ticks.start, tr.ticks.step, 0
+                                   interval)
         self._min_cwnd = tr.min_cwnd_pkts
         self._flow_series = [
             (s, tr.cwnd_pkts[s.flow_id], tr.delivered_bytes[s.flow_id]) for s in self.senders]
@@ -162,16 +162,14 @@ class _Simulation:
     def _on_flow_start(self, fid) -> None:
         self.senders[fid].start(self.engine.now)
 
-    def _on_sample(self, k) -> None:
+    def _on_sample(self, _payload) -> None:
         now = self.engine.now
         link = self.link
         queued = len(link.queue)
         n_dropped = len(link.drops)
-        if k == self._keep_k:  # a kept tick: its entry j of every series
-            j = self._keep_j
-            self._keep_j = j + 1
-            self._keep_k = k + self._keep_step
-            tr = self.trace
+        tr = self.trace
+        if now in tr.sample_t_us:  # a kept tick: its entry j of every series
+            j = tr.sample_t_us.index(now)
             tr.queue_pkts[j] = queued
             tr.link_offered[j] = link.offered
             tr.link_dropped[j] = n_dropped
@@ -200,10 +198,10 @@ class _Simulation:
         self._min_cwnd = low
         nxt = now + self.sample_us
         if nxt <= self.duration_us:
-            self.engine.schedule(nxt, STATS_SAMPLE, k + 1)
+            self.engine.schedule(nxt, STATS_SAMPLE)
 
     def run(self) -> None:
-        self.engine.schedule(0, STATS_SAMPLE, 0)  # the payload is the tick index
+        self.engine.schedule(0, STATS_SAMPLE)
         for fid, spec in enumerate(self.scenario.flows):
             self.engine.schedule(spec.start_us, EventKind.FLOW_START, fid)
         self.engine.schedule(self.duration_us, EventKind.SIM_END)
@@ -243,25 +241,20 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US,
     ([0, duration] for a single flow). Deterministic: same scenario and seed
     give bit-identical traces and metrics.
 
-    The trace keeps every tick unless `full_trace` is false. Then it keeps
-    only the two ticks the metrics read, the one at or before the interval's
-    start and the last, or one tick when they coincide. Such a trace
-    answers interval queries only at those ticks, so only `_batch_worker`
-    asks for one. Either way every tick fires, checks conservation and polls
-    stalled flows at the same times, so the run, its metrics and its check
-    facts are the same.
+    The trace keeps every tick unless `full_trace` is false. Then it is
+    given the measurement interval and keeps only the ticks the metrics read
+    (see TraceSet), so only `_batch_worker` asks for one. Either way every
+    tick fires, checks conservation and polls stalled flows at the same
+    times, so the run, its metrics and its check facts are the same.
     """
     scenario.validate()
     check_sample_us(sample_us, scenario)
     resolved = resolve_starts(scenario, scenario.seed, 0, 0)
-    t0_us = resolved.flows[1].start_us if len(resolved.flows) > 1 else 0
-    ticks = None
-    if not full_trace:
-        first, last = t0_us // sample_us, resolved.duration_us // sample_us
-        ticks = range(first, last + 1, last - first or 1)
-    sim = _Simulation(resolved, sample_us, ticks)
+    interval = (resolved.flows[1].start_us if len(resolved.flows) > 1 else 0,
+                resolved.duration_us)
+    sim = _Simulation(resolved, sample_us, None if full_trace else interval)
     sim.run()
-    metrics = compute_report(sim.trace, (t0_us, resolved.duration_us))
+    metrics = compute_report(sim.trace, interval)
     stats = [
         FlowStats(
             retransmits=s.retransmits,
@@ -271,56 +264,6 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US,
         for s in sim.senders
     ]
     return RunResult(scenario=resolved, trace=sim.trace, metrics=metrics, flow_stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# starvation detection
-
-
-@dataclass
-class StarvationEpisode:
-    flow_id: int
-    t0_us: int
-    t1_us: int
-
-
-def detect_starvation(trace: TraceSet):
-    """Windows of STARVATION_WINDOW_S where one flow runs under
-    STARVATION_THRESHOLD of the fair share while another holds more than half
-    of it; consecutive windows merge into episodes. Needs a multi-flow trace."""
-    if len(trace.flow_ids) < 2:
-        raise UsageError("starvation detection needs at least two flows")
-    fair_bps = trace.capacity_bps / len(trace.flow_ids)
-    window_us = int(round(STARVATION_WINDOW_S * 1_000_000))
-    end_us = trace.sample_t_us[-1]
-    episodes: list[StarvationEpisode] = []
-    open_eps: dict[int, StarvationEpisode] = {}
-    t = 0
-    while t + window_us <= end_us:
-        i0, i1 = trace.tick_at(t), trace.tick_at(t + window_us)
-        rates = {
-            fid: 8 * (trace.delivered_bytes[fid][i1] - trace.delivered_bytes[fid][i0])
-            / (window_us / 1e6)
-            for fid in trace.flow_ids
-        }
-        for fid in trace.flow_ids:
-            if trace.delivered_bytes[fid][i1] == 0:
-                continue  # flow has not sent anything yet: silence, not starvation
-            starved = rates[fid] < STARVATION_THRESHOLD * fair_bps and any(
-                rates[g] > 0.5 * fair_bps for g in trace.flow_ids if g != fid
-            )
-            if starved:
-                ep = open_eps.get(fid)
-                if ep is None:
-                    open_eps[fid] = StarvationEpisode(fid, t, t + window_us)
-                else:
-                    ep.t1_us = t + window_us
-            elif fid in open_eps:
-                episodes.append(open_eps.pop(fid))
-        t += window_us
-    episodes.extend(open_eps.values())
-    episodes.sort(key=lambda e: (e.t0_us, e.flow_id))
-    return episodes
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Per-run and cross-run measurements: Jain fairness, link utilization, loss rate.
+"""Per-run and cross-run measurements: Jain fairness, link utilization, loss
+rate and starvation episodes.
 
 All interval-based quantities read the cumulative counters the trace sampled;
 interval edges snap down to the sample grid (10 ms by default, so well below
@@ -7,6 +8,11 @@ every tolerance that consumes these numbers).
 
 import math
 from dataclasses import dataclass
+
+from .scenario import UsageError
+
+STARVATION_WINDOW_S = 10.0
+STARVATION_THRESHOLD = 0.05  # of the fair share
 
 
 class AllZeroRates(Exception):
@@ -35,6 +41,16 @@ class MetricsReport:
     flow_rates_bps: tuple[float, ...]
 
 
+def _read_interval(trace, t0_us, t1_us):
+    """The ticks `trace.tick_at` finds for the ends of [t0_us, t1_us], each
+    flow's delivered bytes between them, and its rate in bit/s over the span."""
+    i0, i1 = trace.tick_at(t0_us), trace.tick_at(t1_us)
+    span_s = (t1_us - t0_us) / 1_000_000
+    deltas = [trace.delivered_bytes[fid][i1] - trace.delivered_bytes[fid][i0]
+              for fid in trace.flow_ids]
+    return i0, i1, deltas, tuple(8 * d / span_s for d in deltas)
+
+
 def compute_report(trace, interval) -> MetricsReport:
     """Standard per-run report over one measurement interval [t0_us, t1_us].
 
@@ -49,16 +65,13 @@ def compute_report(trace, interval) -> MetricsReport:
     t0_us, t1_us = interval
     if t1_us <= t0_us:
         raise ValueError("empty interval")
-    i0, i1 = trace.tick_at(t0_us), trace.tick_at(t1_us)
-    span_us = t1_us - t0_us
-    deltas = [trace.delivered_bytes[fid][i1] - trace.delivered_bytes[fid][i0]
-              for fid in trace.flow_ids]
-    rates = tuple(8 * d / (span_us / 1_000_000) for d in deltas)
+    i0, i1, deltas, rates = _read_interval(trace, t0_us, t1_us)
     bits = 8 * sum(deltas)  # whole bytes, so the sum over flows is exact
     offered = trace.link_offered[i1] - trace.link_offered[i0]
     dropped = trace.link_dropped[i1] - trace.link_dropped[i0]
     return MetricsReport(
-        eta_percent=min(100.0 * bits / (trace.capacity_bps * span_us / 1_000_000), 100.0),
+        eta_percent=min(100.0 * bits / (trace.capacity_bps * (t1_us - t0_us) / 1_000_000),
+                        100.0),
         fairness=jain_fairness(rates),
         loss_rate=dropped / offered if offered else 0.0,
         t0_us=t0_us,
@@ -83,3 +96,44 @@ def aggregate_runs(reports) -> dict[str, tuple[float, float]]:
             std = 0.0
         out[key] = (mean, std)
     return out
+
+
+@dataclass
+class StarvationEpisode:
+    flow_id: int
+    t0_us: int
+    t1_us: int
+
+
+def detect_starvation(trace):
+    """Windows of STARVATION_WINDOW_S where one flow runs under
+    STARVATION_THRESHOLD of the fair share while another holds more than half
+    of it; consecutive windows merge into episodes. Needs a multi-flow trace."""
+    if len(trace.flow_ids) < 2:
+        raise UsageError("starvation detection needs at least two flows")
+    fair_bps = trace.capacity_bps / len(trace.flow_ids)
+    window_us = int(round(STARVATION_WINDOW_S * 1_000_000))
+    end_us = trace.sample_t_us[-1]
+    episodes: list[StarvationEpisode] = []
+    open_eps: dict[int, StarvationEpisode] = {}
+    t = 0
+    while t + window_us <= end_us:
+        _, i1, _, rates = _read_interval(trace, t, t + window_us)
+        for fid, rate in zip(trace.flow_ids, rates):
+            if trace.delivered_bytes[fid][i1] == 0:
+                continue  # flow has not sent anything yet: silence, not starvation
+            starved = rate < STARVATION_THRESHOLD * fair_bps and any(
+                r > 0.5 * fair_bps for g, r in zip(trace.flow_ids, rates) if g != fid
+            )
+            if starved:
+                ep = open_eps.get(fid)
+                if ep is None:
+                    open_eps[fid] = StarvationEpisode(fid, t, t + window_us)
+                else:
+                    ep.t1_us = t + window_us
+            elif fid in open_eps:
+                episodes.append(open_eps.pop(fid))
+        t += window_us
+    episodes.extend(open_eps.values())
+    episodes.sort(key=lambda e: (e.t0_us, e.flow_id))
+    return episodes

@@ -275,6 +275,15 @@ def test_table_subcommand_writes_csv(tmp_path, capsys):
     assert lines[1].startswith('table1-tl-c2-b10-dt2-noss,tcp-ledbat,2.0,10,"2",off,1,')
 
 
+def test_table_verbose_prints_each_finished_run_before_the_csv_line(tmp_path, capsys):
+    rc = cli.main(["table1", "--runs", "2", "--jobs", "1", "--verbose",
+                   "--cells", "tl-c2-b10-dt2-noss", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["  1/2 runs", "  2/2 runs"]
+    assert lines[2].startswith("wrote ") and len(lines) == 3
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

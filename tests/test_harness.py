@@ -15,12 +15,12 @@ from ledbatsim.harness import (
     _batch_worker,
     _run_batch,
     _Simulation,
-    detect_starvation,
     extract_check_facts,
     run_scenario,
     run_table1,
     write_trace_csv,
 )
+from ledbatsim.metrics import detect_starvation
 from ledbatsim.network import Bottleneck
 from ledbatsim.scenario import Scenario, UsageError, ValidationError, get_preset
 from ledbatsim.tcp import TcpFlow

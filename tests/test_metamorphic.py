@@ -2,17 +2,21 @@
 
 Prefix: a run cut at 30 s is the first 30 s of the same run at 60 s, which is
 what lets the golden digests and the benchmark's smoke mode stand for full
-runs. Relabel: reversing the flow list of a late-start pair mirrors every
-per-flow series and leaves the link's series alone. Co-started flows are the
-exception to relabelling: at equal start times the flow-list order breaks the
-tie, and flow 0 transmits first. Scale: the window laws count packets and the
-link serves each in packet_bytes * 8 / capacity_bps, so multiplying both by
-the same k leaves every event where it was and multiplies only the delivered
-bytes; that holds only while the packet size has one owner. It is checked on
-three presets and on the generated scenarios of the digest corpus, at k = 2
-and 3; the float metrics match bit for bit at k = 2, and at k = 3 only where
-the capacity is round. Two ticks: a run whose trace keeps only the tick at
-or before the measurement interval's start and the last tick
+runs; it is checked on three presets and, at half length, on every generated
+scenario of the digest corpus whose half-length cut is a valid run. Relabel:
+reversing the flow list of a late-start pair mirrors every per-flow series
+and leaves the link's series alone; it is checked on three presets and on
+the corpus's two-flow scenarios whose flows start apart. Co-started flows
+are the exception to relabelling: at equal start times the flow-list order
+breaks the tie, and flow 0 transmits first. Scale: the window laws count
+packets and the link serves each in packet_bytes * 8 / capacity_bps, so
+multiplying both by the same k leaves every event where it was and
+multiplies only the delivered bytes; that holds only while the packet size
+has one owner. It is checked on three presets and on the generated scenarios
+of the digest corpus, at k = 2 and 3; the float metrics match bit for bit at
+k = 2, and at k = 3 only where the capacity is round. Two ticks: a run whose
+trace is given the measurement interval keeps only the tick at or before its
+start and the last tick
 (`full_trace=False`, as the grid's batch runs ask) dispatches the same events
 and gives the same metrics and check facts as the full run, and the ticks it
 keeps hold the full run's values.
@@ -23,9 +27,10 @@ from dataclasses import replace
 
 import pytest
 
-from ledbatsim.harness import extract_check_facts, run_scenario
+from ledbatsim.harness import (DEFAULT_SAMPLE_US, check_sample_us, extract_check_facts,
+                               run_scenario)
 from ledbatsim.network import Bottleneck
-from ledbatsim.scenario import get_preset, resolve_starts, table1_cells
+from ledbatsim.scenario import UsageError, get_preset, resolve_starts, table1_cells
 from test_corpus import GENERATED
 from test_golden import counted_run
 
@@ -42,13 +47,35 @@ def _per_tick(trace, name):
             for fid, series in getattr(trace, name).items()}
 
 
-@pytest.mark.parametrize("preset", ["fig2a", "fig3-mid", "table1-tl-c2-b10-dtu-noss"])
-def test_a_short_run_is_the_prefix_of_a_longer_one(preset):
-    short = run_scenario(replace(get_preset(preset), duration_s=30.0))
-    long = run_scenario(replace(get_preset(preset), duration_s=60.0))
+def _is_a_valid_run(scn):
+    try:
+        scn.validate()
+        check_sample_us(DEFAULT_SAMPLE_US, scn)
+    except UsageError:
+        return False
+    return True
+
+
+# (the long run, its cut): three presets at 60 and 30 s, and the generated
+# scenarios of the digest corpus, with the starts they draw, whose cut to
+# half their length is a valid run
+PREFIX_RUNS = {p: (replace(get_preset(p), duration_s=60.0),
+                   replace(get_preset(p), duration_s=30.0))
+               for p in ("fig2a", "fig3-mid", "table1-tl-c2-b10-dtu-noss")} | {
+    name: (resolved, cut) for name, scn in GENERATED.items()
+    for resolved in [resolve_starts(scn, scn.seed, 0, 0)]
+    for cut in [replace(resolved, duration_s=resolved.duration_us // 2 / 1e6)]
+    if _is_a_valid_run(cut)}
+
+
+@pytest.mark.parametrize("run", list(PREFIX_RUNS))
+def test_a_short_run_is_the_prefix_of_a_longer_one(run):
+    long_scn, short_scn = PREFIX_RUNS[run]
+    cut_us = short_scn.duration_us
+    short, long = run_scenario(short_scn), run_scenario(long_scn)
     a, b = short.trace, long.trace
     n = len(a.sample_t_us)
-    assert a.sample_t_us[-1] == 30 * S
+    assert a.sample_t_us[-1] == cut_us // DEFAULT_SAMPLE_US * DEFAULT_SAMPLE_US
     for name in LINK_SERIES:
         assert getattr(a, name) == getattr(b, name)[:n], name
     for name in FLOW_SERIES:
@@ -56,15 +83,26 @@ def test_a_short_run_is_the_prefix_of_a_longer_one(preset):
         assert a_series.keys() == b_series.keys(), name
         for fid, series in a_series.items():
             assert series == b_series[fid][:n], (name, fid)
-    assert a.drops == [d for d in b.drops if d[0] <= 30 * S]
-    assert a.drops  # the cut keeps some loss to compare
+    assert a.drops == [d for d in b.drops if d[0] <= cut_us]
+    assert a.drops or run in GENERATED  # a preset's cut keeps some loss to compare
     for fid in a.flow_ids:
-        assert a.halvings[fid] == [h for h in b.halvings[fid] if h[0] <= 30 * S]
+        assert a.halvings[fid] == [h for h in b.halvings[fid] if h[0] <= cut_us]
 
 
-@pytest.mark.parametrize("preset", ["fig3-top", "fig3-mid", "fig3-bottom"])
-def test_reversing_the_flow_list_mirrors_a_late_start_pair(preset):
-    scn = replace(get_preset(preset), duration_s=60.0)
+# three presets cut to 60 s, and the generated two-flow scenarios of the
+# digest corpus whose flows start apart, with the starts they draw: a
+# reversed list would draw the other flow's start
+RELABEL_RUNS = {p: replace(get_preset(p), duration_s=60.0)
+                for p in ("fig3-top", "fig3-mid", "fig3-bottom")} | {
+    name: resolved for name, scn in GENERATED.items()
+    if len(scn.flows) == 2
+    for resolved in [resolve_starts(scn, scn.seed, 0, 0)]
+    if resolved.flows[0].start_us != resolved.flows[1].start_us}
+
+
+@pytest.mark.parametrize("run", list(RELABEL_RUNS))
+def test_reversing_the_flow_list_mirrors_a_late_start_pair(run):
+    scn = RELABEL_RUNS[run]
     fwd = run_scenario(scn).trace
     rev = run_scenario(replace(scn, flows=scn.flows[::-1])).trace
     last = len(fwd.flow_ids) - 1

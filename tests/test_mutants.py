@@ -28,6 +28,7 @@ from ledbatsim import acceptance, harness, ledbat, scenario
 from ledbatsim.engine import FRONT, Engine
 from ledbatsim.harness import TraceSet, _Simulation, extract_check_facts, run_scenario
 from ledbatsim.ledbat import LedbatFlow
+from ledbatsim.network import Bottleneck
 from ledbatsim.scenario import Pcg64, get_preset
 from ledbatsim.transport import SenderBase
 from test_golden import CUT_S, GOLDEN, digest_run
@@ -112,12 +113,36 @@ def minimum_at_kept_ticks(mp):
     """The running window minimum folds only the ticks the trace keeps."""
     on_sample = _Simulation._on_sample
 
-    def folds_kept(self, k):
-        low, kept = self._min_cwnd, k == self._keep_k
-        on_sample(self, k)
+    def folds_kept(self, payload):
+        low, kept = self._min_cwnd, self.engine.now in self.trace.sample_t_us
+        on_sample(self, payload)
         if not kept:
             self._min_cwnd = low
     mp.setattr(_Simulation, "_on_sample", folds_kept)
+
+
+def two_tick_start_one_tick_late(mp):
+    """A trace given an interval keeps the tick after the one at or before its start."""
+    init = TraceSet.__init__
+
+    def late(self, flow_ids, capacity_bps, duration_us, sample_us, delay_flow_ids=(),
+             interval=None):
+        if interval is not None:
+            interval = (interval[0] + sample_us, interval[1])
+        init(self, flow_ids, capacity_bps, duration_us, sample_us, delay_flow_ids, interval)
+    mp.setattr(TraceSet, "__init__", late)
+
+
+def dropped_offer_counted_twice(mp):
+    """The link counts a tail-dropped offer twice, which breaks its conservation identity."""
+    enqueue = Bottleneck.enqueue
+
+    def twice(self, pkt):
+        accepted = enqueue(self, pkt)
+        if not accepted:
+            self.offered += 1
+        return accepted
+    mp.setattr(Bottleneck, "enqueue", twice)
 
 
 def counts_1500_bytes(mp):
@@ -191,6 +216,24 @@ def two_tick_run_sees_every_window(mp):
     test_harness.test_a_two_tick_trace_still_sees_the_window_at_every_tick(mp)
 
 
+def two_tick_runs_measure_what_the_full_runs_do(mp):
+    for run in ("table1-tl-c2-b10-dt2-noss", "table1-tl-c2-b10-dtu-ss", "gen-05"):
+        try:
+            test_metamorphic.test_a_run_keeping_two_ticks_measures_what_the_full_run_does(run)
+        except ValueError as exc:  # the interval's start precedes the first kept tick
+            raise AssertionError(exc) from exc
+
+
+def short_fig2a_run_conserves_packets(mp):
+    # the first drops come near 5.7 s
+    try:
+        run_scenario(replace(get_preset("fig2a"), duration_s=6.0))
+    except RuntimeError as exc:  # the tick's check of the link's identity
+        if "packet conservation violated" in str(exc):
+            raise AssertionError(exc) from exc
+        raise
+
+
 def scaling_scales_only_the_bytes(mp):
     test_metamorphic.test_scaling_rate_and_packet_size_together_scales_only_the_bytes(
         "adsl-up-b10-tcp-vs-ledbat")
@@ -215,6 +258,10 @@ MUTANTS = [
     ("estimate-1us-low", _estimate_plus(lambda measured: -1),
      delay_based_pair_keeps_the_per_ack_bound),
     ("minimum-at-kept-ticks", minimum_at_kept_ticks, two_tick_run_sees_every_window),
+    ("two-tick-start-one-tick-late", two_tick_start_one_tick_late,
+     two_tick_runs_measure_what_the_full_runs_do),
+    ("dropped-offer-counted-twice", dropped_offer_counted_twice,
+     short_fig2a_run_conserves_packets),
     ("counts-1500-bytes", counts_1500_bytes, scaling_scales_only_the_bytes),
     ("split-drops-ties", split_drops_ties, split_queue_dispatches_like_a_heap),
 ]
