@@ -72,7 +72,7 @@ def _criterion_1(fig2a: RunResult, tcp_alone: RunResult):
     tcp_id, ledbat_id = 0, 1
 
     drops = tr.drops
-    first_drop_us = drops[0][0] if drops else tr.duration_us
+    first_drop_us = drops[0][0] if drops else fig2a.scenario.duration_us
     cw = tr.cwnd_pkts[ledbat_id]
     ts = tr.sample_t_us
     pre_loss = [c for c, t in zip(cw, ts) if t <= first_drop_us]

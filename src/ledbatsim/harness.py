@@ -53,15 +53,15 @@ class TraceSet:
     `base_delay_us`, empty at first, the ticks after the flow's first delay
     sample, one entry appended by each.
     `min_cwnd_pkts` is the least window any flow had at any tick, kept or
-    not. It and the event rows, drops (exact times) and window halvings, are
-    handed over when the run ends. Safety timeouts are in RunResult.flow_stats.
+    not. The event rows, drops (exact times) and window halvings, are the
+    link's and each sender's own lists, which the simulation hands the trace
+    when it wires the run. Safety timeouts are in RunResult.flow_stats.
     """
 
     def __init__(self, flow_ids, capacity_bps, duration_us, sample_us, delay_flow_ids=(),
                  interval=None):
         self.flow_ids = list(flow_ids)
         self.capacity_bps = capacity_bps
-        self.duration_us = duration_us
 
         if interval is None:
             self.sample_t_us = range(0, duration_us + 1, sample_us)
@@ -136,7 +136,8 @@ class _Simulation:
         tr = self.trace = TraceSet(range(len(self.senders)), scenario.capacity_bps,
                                    self.duration_us, sample_us, [s.flow_id for s in ledbats],
                                    interval)
-        self._min_cwnd = tr.min_cwnd_pkts
+        tr.drops = self.link.drops
+        tr.halvings = {s.flow_id: s.halvings for s in self.senders}
         self._flow_series = [
             (s, tr.cwnd_pkts[s.flow_id], tr.delivered_bytes[s.flow_id]) for s in self.senders]
         self._delay_series = [
@@ -179,7 +180,7 @@ class _Simulation:
                 cwnd[j] = s.cwnd
                 delivered[j] = by_flow.get(s.flow_id, 0) * packet_bytes
             for s, store_base, qest in self._delay_series:
-                base = s.base_delay_us
+                base = s.history.base
                 if base is not None:  # once set by the first delay sample, it stays set
                     store_base(base)
                 qest[j] = s.queuing_delay_est_us
@@ -189,13 +190,13 @@ class _Simulation:
         # a timeout waits at least MIN_TIMEOUT_US from the last progress, so
         # a flow that made progress since then is not polled; a poll changes
         # no window but its own flow's, which is read first
-        low = self._min_cwnd
+        low = tr.min_cwnd_pkts
         for s in self.senders:
             if s.cwnd < low:
                 low = s.cwnd
             if now - s.last_progress_at >= MIN_TIMEOUT_US:
                 s.check_timeout(now)
-        self._min_cwnd = low
+        tr.min_cwnd_pkts = low
         nxt = now + self.sample_us
         if nxt <= self.duration_us:
             self.engine.schedule(nxt, STATS_SAMPLE)
@@ -210,10 +211,6 @@ class _Simulation:
         # simulation, its link and its senders: dropping them leaves no cycle,
         # so the finished run is freed without the cycle collector
         self.engine.clear()
-        self.trace.drops = self.link.drops
-        self.trace.min_cwnd_pkts = float(self._min_cwnd)  # as a window series holds it
-        for s in self.senders:
-            self.trace.halvings[s.flow_id] = list(s.halvings)
 
 
 def check_sample_us(sample_us: int, scenario: Scenario) -> None:
@@ -259,7 +256,7 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US,
         FlowStats(
             retransmits=s.retransmits,
             max_update_ratio=getattr(s, "max_update_ratio", 0.0),
-            timeouts=list(s.timeouts),
+            timeouts=s.timeouts,
         )
         for s in sim.senders
     ]

@@ -37,7 +37,7 @@ class BaseDelayHistory:
         self.minutes = minutes
         self._slots: deque[int] = deque(maxlen=minutes)
         self._cur_slot: int | None = None
-        self._base: int | None = None  # min(self._slots)
+        self.base: int | None = None  # min(self._slots); None before the first sample
 
     def update(self, measured_us: int, now_us: int) -> int:
         """Fold in one sample, return the current base delay."""
@@ -45,17 +45,17 @@ class BaseDelayHistory:
         if slot == self._cur_slot:
             if measured_us < self._slots[-1]:
                 self._slots[-1] = measured_us
-                if measured_us < self._base:
-                    self._base = measured_us
-            return self._base
+                if measured_us < self.base:
+                    self.base = measured_us
+            return self.base
         if self._cur_slot is None:
             self._slots.append(measured_us)
         else:
             for _ in range(min(slot - self._cur_slot, self.minutes)):
                 self._slots.append(measured_us)
         self._cur_slot = slot
-        self._base = min(self._slots)
-        return self._base
+        self.base = min(self._slots)
+        return self.base
 
 
 class LedbatFlow(SenderBase):
@@ -80,7 +80,6 @@ class LedbatFlow(SenderBase):
         self._gain_num = num // g
         self._gain_den = den // g
         self.history = BaseDelayHistory(spec.base_histo_min)
-        self.base_delay_us: int | None = None
         # measured - base as of the last delay sample; 0 before the first one
         # and whenever the estimator is pinned
         self.queuing_delay_est_us = 0
@@ -90,7 +89,7 @@ class LedbatFlow(SenderBase):
 
     def on_delay_sample(self, ack: Packet, now: int) -> None:
         measured = ack.measured_delay_us
-        base = self.base_delay_us = self.history.update(measured, now)
+        base = self.history.update(measured, now)
         if not self.pin_zero_queuing_delay:
             self.queuing_delay_est_us = measured - base
 

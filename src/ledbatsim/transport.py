@@ -117,7 +117,6 @@ class SenderBase:
         self.dupacks = 0
         self.rtt_est_us: int | None = None
         self.max_rtt_us = 0
-        self.last_halving_at: int | None = None
         self.last_progress_at = 0  # start, last cumulative advance or last timeout
 
         self._send_times: dict[int, int] = {}
@@ -226,10 +225,9 @@ class SenderBase:
     def _halve(self, now: int, new_cwnd: float) -> bool:
         """Apply a window reduction unless one already happened this RTT."""
         gate = self.rtt_est_us if self.rtt_est_us is not None else 0
-        if self.last_halving_at is not None and now - self.last_halving_at < gate:
+        if self.halvings and now - self.halvings[-1][0] < gate:
             return False
         self.cwnd = new_cwnd
-        self.last_halving_at = now
         self.halvings.append((now, new_cwnd, gate))
         return True
 

@@ -183,7 +183,7 @@ def test_estimate_is_formed_once_per_sample():
         _feed(plain, delay, now)
         _feed(skewed, delay - 3_600_000_000, now)  # receiver clock an hour behind
         _feed(pinned, delay, now)
-        assert plain.queuing_delay_est_us == delay - plain.base_delay_us
+        assert plain.queuing_delay_est_us == delay - plain.history.base
         assert skewed.queuing_delay_est_us == plain.queuing_delay_est_us
         assert pinned.queuing_delay_est_us == 0
 
@@ -191,10 +191,10 @@ def test_estimate_is_formed_once_per_sample():
 def test_base_never_above_current_sample_on_first_use():
     flow = _flow()
     _feed(flow, 42_000)
-    assert flow.base_delay_us == 42_000
+    assert flow.history.base == 42_000
     assert flow.queuing_delay_est_us == 0
     _feed(flow, 43_000)
-    assert flow.base_delay_us == 42_000
+    assert flow.history.base == 42_000
     assert flow.queuing_delay_est_us == 1000
 
 

@@ -50,8 +50,11 @@ def ungated_halving(mp):
     halve = SenderBase._halve
 
     def ungated(self, now, new_cwnd):
-        self.last_halving_at = None
-        return halve(self, now, new_cwnd)
+        earlier = self.halvings[:]
+        self.halvings.clear()
+        halved = halve(self, now, new_cwnd)
+        self.halvings[:0] = earlier  # in place: the trace holds this list
+        return halved
     mp.setattr(SenderBase, "_halve", ungated)
 
 
@@ -114,10 +117,10 @@ def minimum_at_kept_ticks(mp):
     on_sample = _Simulation._on_sample
 
     def folds_kept(self, payload):
-        low, kept = self._min_cwnd, self.engine.now in self.trace.sample_t_us
+        low, kept = self.trace.min_cwnd_pkts, self.engine.now in self.trace.sample_t_us
         on_sample(self, payload)
         if not kept:
-            self._min_cwnd = low
+            self.trace.min_cwnd_pkts = low
     mp.setattr(_Simulation, "_on_sample", folds_kept)
 
 
@@ -168,6 +171,41 @@ def split_drops_ties(mp):
         del times[cut:]
         del events[cut:]
     mp.setattr(Engine, "_refront", drops_ties)
+
+
+def in_service_packet_takes_a_slot(mp):
+    """The drop-tail buffer counts the packet in service: an offer is refused
+    once buffer_pkts packets are there, not buffer_pkts + 1. The link reads
+    buffer_pkts only there, so a link built one slot short is that rule."""
+    init = Bottleneck.__init__
+
+    def one_slot_short(self, engine, service_us, prop_delay_us, buffer_pkts):
+        init(self, engine, service_us, prop_delay_us, buffer_pkts - 1)
+    mp.setattr(Bottleneck, "__init__", one_slot_short)
+
+
+def uniform_start_reads_the_run_length(mp):
+    """A uniform start is drawn from U(0, min(10 s, duration / 30)), so the
+    run's length moves its second flow's start."""
+    resolve = scenario.resolve_starts
+
+    def capped(scn, *args):
+        with mp.context() as m:
+            m.setattr(scenario, "UNIFORM_START_MAX_S",
+                      min(scenario.UNIFORM_START_MAX_S, scn.duration_s / 30))
+            return resolve(scn, *args)
+    mp.setattr(harness, "resolve_starts", capped)
+
+
+def receivers_share_flow_0s_offset(mp):
+    """Every receiver is built with flow 0's clock offset."""
+    init = _Simulation.__init__
+
+    def shared(self, *args):
+        init(self, *args)
+        for receiver in self.receivers:
+            receiver.clock_offset_us = self.receivers[0].clock_offset_us
+    mp.setattr(_Simulation, "__init__", shared)
 
 
 # -- checks: existing checkers, on the runs that catch their mutant
@@ -239,6 +277,14 @@ def scaling_scales_only_the_bytes(mp):
         "adsl-up-b10-tcp-vs-ledbat")
 
 
+def uniform_start_cell_is_a_prefix(mp):
+    test_metamorphic.test_a_short_run_is_the_prefix_of_a_longer_one("table1-tl-c2-b10-dtu-noss")
+
+
+def corpus_pair_mirrors_when_reversed(mp):
+    test_metamorphic.test_reversing_the_flow_list_mirrors_a_late_start_pair("gen-13")
+
+
 def split_queue_dispatches_like_a_heap(mp):
     test_engine.test_queue_dispatches_like_a_reference_heap(0, 6 * FRONT, 10**9)
 
@@ -264,6 +310,11 @@ MUTANTS = [
      short_fig2a_run_conserves_packets),
     ("counts-1500-bytes", counts_1500_bytes, scaling_scales_only_the_bytes),
     ("split-drops-ties", split_drops_ties, split_queue_dispatches_like_a_heap),
+    ("in-service-packet-takes-a-slot", in_service_packet_takes_a_slot, corpus_run_follows_lindley),
+    ("uniform-start-reads-the-run-length", uniform_start_reads_the_run_length,
+     uniform_start_cell_is_a_prefix),
+    ("receivers-share-flow-0s-offset", receivers_share_flow_0s_offset,
+     corpus_pair_mirrors_when_reversed),
 ]
 
 
