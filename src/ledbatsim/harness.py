@@ -185,7 +185,7 @@ class _Simulation:
                     store_base(base)
                 qest[j] = s.queuing_delay_est_us
         # the link's conservation identity, at every tick
-        if link.offered != link.delivered + n_dropped + queued:
+        if link.offered != sum(link.delivered_by_flow.values()) + n_dropped + queued:
             raise RuntimeError(f"packet conservation violated at t={now}")
         # a timeout waits at least MIN_TIMEOUT_US from the last progress, so
         # a flow that made progress since then is not polled; a poll changes

@@ -33,9 +33,10 @@ class Bottleneck:
     """Drop-tail FIFO of buffer_pkts waiting slots; the link serves each packet in service_us.
 
     queue[0] is in service, so the deque holds at most buffer_pkts + 1 packets.
-    A packet that completes service is counted delivered and handed to the far
-    end after prop_delay_us. Counters satisfy
-        offered == delivered + len(drops) + len(queue)
+    A packet that completes service is counted delivered, in its flow's entry
+    of delivered_by_flow, and handed to the far end after prop_delay_us.
+    Counters satisfy
+        offered == sum(delivered_by_flow.values()) + len(drops) + len(queue)
     at all times, which the harness's sampling tick checks.
     """
 
@@ -54,7 +55,6 @@ class Bottleneck:
         self.queue: deque[Packet] = deque()
 
         self.offered = 0
-        self.delivered = 0
         self.delivered_by_flow: dict[int, int] = {}  # cumulative delivered packets
         self.drops: list[tuple[int, int, int]] = []  # (t_us, flow_id, seq)
 
@@ -76,7 +76,6 @@ class Bottleneck:
     def _service_done(self, _payload) -> None:
         queue = self.queue
         pkt = queue.popleft()
-        self.delivered += 1
         fid = pkt.flow_id
         by_flow = self.delivered_by_flow
         by_flow[fid] = by_flow.get(fid, 0) + 1

@@ -1,12 +1,19 @@
 """Endpoint machinery shared by both controllers.
 
 Receiver: turns every arriving data packet into its ack. The ack is the data
-packet's own object, rewritten in place: nothing holds a delivered packet, so
-one object serves each transmission. It keeps the data's flow_id, which routes
-it back to its sender, and adds what the sender reads: is_ack, the cumulative
-in-order sequence (ack_of_seq) and the one-way delay measured on the
-receiver's own clock (measured_delay_us). Its other fields are left as the
-data packet had them and are not read.
+packet's own object, rewritten in place, since nothing holds a delivered
+packet. It keeps the data's flow_id, which routes it back to its sender, and
+adds what the sender reads: is_ack, the cumulative in-order sequence
+(ack_of_seq) and the one-way delay measured on the receiver's own clock
+(measured_delay_us). Its other fields are left as the data packet had them
+and are not read.
+
+The sender closes the loop: once on_ack has read an ack, nothing refers to it
+but the sender, which keeps it as its one spare packet. The next send or
+resend rewrites the spare's seq, sent_at_sender_clock and is_ack and lets go
+of it; a transmission builds a new Packet only when the sender holds no
+spare. So one object serves a packet in flight, data then ack then the next
+data, and a run builds about one Packet per packet in flight.
 
 SenderBase: sequencing, window gating, loss detection, and retransmission.
 Loss is inferred from 3 duplicate cumulative acks (plus a coarse safety
@@ -102,7 +109,13 @@ class Receiver:
 
 
 class SenderBase:
-    """Window-based sender. Subclasses implement the congestion controller."""
+    """Window-based sender. Subclasses implement the congestion controller.
+
+    Each ack becomes the spare packet once the controller hooks have read it
+    (on a duplicate, before it can open recovery), replacing any spare still
+    held; the next transmission rewrites the spare and clears it, so no
+    object is in the link and in the spare at once.
+    """
 
     pacing = False  # a pacing subclass defines pacing_gap_us(), read before each send
 
@@ -123,6 +136,7 @@ class SenderBase:
         self._next_send_at = 0
         self._pacing_armed = False
         self._recovery_point = 0
+        self._spare: Packet | None = None  # a processed ack, rewritten by the next send
 
         self.retransmits = 0
         self.halvings: list[tuple[int, float, int]] = []  # (t, cwnd_after, rtt_gate)
@@ -161,7 +175,18 @@ class SenderBase:
                 gap = self.pacing_gap_us() if self.pacing else 0
             seq = self.next_seq
             self._send_times[seq] = now
-            self.link.enqueue(Packet(self.flow_id, seq, now))
+            # as in _retransmit; written out here, since a shared method
+            # called per send cost about 2% of fig2a's simulated seconds per
+            # second (214.4 against 210.0 s/s on a 2-core host)
+            pkt = self._spare
+            if pkt is None:
+                pkt = Packet(self.flow_id, seq, now)
+            else:
+                self._spare = None
+                pkt.seq = seq
+                pkt.sent_at_sender_clock = now
+                pkt.is_ack = False
+            self.link.enqueue(pkt)
             self.next_seq = seq + 1
             self._next_send_at = now + gap
 
@@ -173,7 +198,15 @@ class SenderBase:
     def _retransmit(self, seq: int, now: int) -> None:
         self._send_times[seq] = now
         self.retransmits += 1
-        self.link.enqueue(Packet(self.flow_id, seq, now))
+        pkt = self._spare
+        if pkt is None:
+            pkt = Packet(self.flow_id, seq, now)
+        else:
+            self._spare = None
+            pkt.seq = seq
+            pkt.sent_at_sender_clock = now
+            pkt.is_ack = False
+        self.link.enqueue(pkt)
 
     # -- receiving ---------------------------------------------------------
 
@@ -204,10 +237,12 @@ class SenderBase:
                 else:
                     self._recovery_point = 0
             self.on_new_ack(ack, newly, now)
+            self._spare = ack
             self.try_send(now)
         else:
             self.dupacks += 1
             self.on_delay_sample(ack, now)
+            self._spare = ack
             if not self._recovery_point and self.dupacks >= DUPACK_THRESHOLD:
                 self._enter_recovery(now)
                 self.try_send(now)

@@ -208,6 +208,18 @@ def receivers_share_flow_0s_offset(mp):
     mp.setattr(_Simulation, "__init__", shared)
 
 
+def spare_kept_after_use(mp):
+    """A transmission that rewrites the sender's spare packet leaves it held,
+    so the next transmission rewrites a packet still in the link's queue.
+    The sender clears its spare in one statement per transmission, so the
+    patch is on the attribute: a setter that ignores the clearing."""
+    def keep(self, pkt):
+        if pkt is not None:
+            self.__dict__["_spare"] = pkt
+    mp.setattr(SenderBase, "_spare", property(lambda self: self.__dict__.get("_spare"), keep),
+               raising=False)
+
+
 # -- checks: existing checkers, on the runs that catch their mutant
 
 
@@ -221,6 +233,11 @@ def gated_run_keeps_its_halving_gaps(mp):
 
 def corpus_run_follows_lindley(mp):
     test_network.test_whole_run_follows_lindleys_recursion("gen-02", test_network.log_link(mp))
+
+
+def corpus_run_delivers_what_it_accepted(mp):
+    test_network.test_whole_run_link_delivers_exactly_what_it_accepted(
+        "gen-02", test_network.log_link(mp))
 
 
 def draws_match_numpy(mp):
@@ -315,6 +332,7 @@ MUTANTS = [
      uniform_start_cell_is_a_prefix),
     ("receivers-share-flow-0s-offset", receivers_share_flow_0s_offset,
      corpus_pair_mirrors_when_reversed),
+    ("spare-kept-after-use", spare_kept_after_use, corpus_run_delivers_what_it_accepted),
 ]
 
 

@@ -1,5 +1,6 @@
 """Bottleneck queue: service times, drop-tail boundary, FIFO order, conservation,
-and whole runs checked against Lindley's recursion."""
+and whole runs checked against Lindley's recursion and for delivering exactly
+the packets the link accepted."""
 
 import bisect
 import random
@@ -18,8 +19,12 @@ def _pkt(seq, flow=0):
     return Packet(flow, seq, 0)
 
 
+def _delivered(link):
+    return sum(link.delivered_by_flow.values())
+
+
 def _conserved(link):
-    return link.offered == link.delivered + len(link.drops) + len(link.queue)
+    return link.offered == _delivered(link) + len(link.drops) + len(link.queue)
 
 
 def test_service_time_exact_values():
@@ -70,7 +75,7 @@ def test_fifo_delivery_times_and_order():
     assert len(link.queue) == 0
     # back-to-back service at 1200 us each, then the 10 ms pipe
     assert arrivals == [(11_200, 1), (12_400, 2), (13_600, 3)]
-    assert link.delivered == 3 and link.delivered_by_flow == {0: 3}
+    assert link.delivered_by_flow == {0: 3}
 
 
 def test_conservation_under_random_churn():
@@ -90,7 +95,7 @@ def test_conservation_under_random_churn():
         assert _conserved(link)
     assert link.drops  # the churn does overflow the buffer
     eng.run(until=eng.now + 10_000_000)
-    assert link.offered == link.delivered + len(link.drops)
+    assert link.offered == _delivered(link) + len(link.drops)
     assert link.delivered_by_flow == accepted
 
 
@@ -124,7 +129,7 @@ def test_offer_at_the_heads_departure_time(offer_scheduled_first, accepted):
         eng.schedule(departs_at, EventKind.PACING_TIMER, _pkt(3))
     eng.run(until=departs_at)
     assert results == [accepted]
-    assert link.delivered == 1
+    assert _delivered(link) == 1
     assert [p.seq for p in link.queue] == ([2, 3] if accepted else [2])
     assert link.drops == ([] if accepted else [(departs_at, 0, 3)])
 
@@ -134,19 +139,22 @@ def test_offer_at_the_heads_departure_time(offer_scheduled_first, accepted):
 
 def log_link(monkeypatch):
     """(offers, departures) of the runs made while `monkeypatch` holds: each
-    offer to a Bottleneck as (t_us, accepted), each departure as its time,
-    in the order they happen. The only place that knows where the link
-    judges an offer and where a packet leaves it."""
+    offer to a Bottleneck as (t_us, accepted, packet), each departure as
+    (t_us, packet), in the order they happen, a packet being its (flow_id,
+    seq, sent_at_sender_clock) as read at that moment. The only place that
+    knows where the link judges an offer and where a packet leaves it."""
     offers, departures = [], []
     enqueue, service_done = Bottleneck.enqueue, Bottleneck._service_done
 
     def logged_enqueue(self, pkt):
         accepted = enqueue(self, pkt)
-        offers.append((self.engine.now, accepted))
+        offers.append((self.engine.now, accepted,
+                       (pkt.flow_id, pkt.seq, pkt.sent_at_sender_clock)))
         return accepted
 
     def logged_service_done(self, payload):
-        departures.append(self.engine.now)
+        pkt = self.queue[0]
+        departures.append((self.engine.now, (pkt.flow_id, pkt.seq, pkt.sent_at_sender_clock)))
         service_done(self, payload)
 
     monkeypatch.setattr(Bottleneck, "enqueue", logged_enqueue)
@@ -182,12 +190,24 @@ def test_whole_run_follows_lindleys_recursion(name, link_log):
     buffer_pkts = scn.buffer_pkts
     svc = service_time_us(scn.packet_bytes, scn.capacity_bps)
     departs = []  # the recursion's departure of each accepted packet, in offer order
-    for t, accepted in offers:
+    for t, accepted, _ in offers:
         if accepted:
             assert len(departs) - bisect.bisect_right(departs, t) <= buffer_pkts
             start = max(t, departs[-1]) if departs else t
             departs.append(start + svc)
         else:
             assert len(departs) - bisect.bisect_left(departs, t) >= buffer_pkts + 1
-    assert departures == departs[:len(departures)]
+    assert [t for t, _ in departures] == departs[:len(departures)]
     assert all(d > scn.duration_us for d in departs[len(departures):])
+
+
+@pytest.mark.parametrize("name", list(LINDLEY_RUNS))
+def test_whole_run_link_delivers_exactly_what_it_accepted(name, link_log):
+    """The packets that leave the link are the ones it accepted, each as it
+    was when offered, in FIFO order. A sender that rewrote a packet still in
+    the queue, as one reusing a packet object too early would, breaks it."""
+    offers, departures = link_log
+    run_scenario(LINDLEY_RUNS[name])
+    accepted = [pkt for _, was_accepted, pkt in offers if was_accepted]
+    assert departures
+    assert [pkt for _, pkt in departures] == accepted[:len(departures)]

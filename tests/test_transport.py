@@ -1,6 +1,8 @@
 """Endpoint machinery: receiver acking, RTT filter, dupack loss detection,
-halving rate limit, window gating, pacing timers; and, over whole runs, one
-packet object per transmission and the pacing gap's zero-then-positive order."""
+halving rate limit, window gating, pacing timers, each transmission rewriting
+the sender's spare ack; and, over whole runs, a Packet built only for a
+transmission whose sender holds no spare, and the pacing gap's
+zero-then-positive order."""
 
 from dataclasses import replace
 
@@ -9,7 +11,7 @@ import pytest
 from ledbatsim import harness, transport
 from ledbatsim.engine import Engine, EventKind
 from ledbatsim.ledbat import LedbatFlow
-from ledbatsim.network import Packet
+from ledbatsim.network import Bottleneck, Packet
 from ledbatsim.scenario import get_preset
 from ledbatsim.tcp import TcpFlow
 from ledbatsim.transport import Receiver, SenderBase
@@ -323,26 +325,86 @@ def _cut(preset, **flow_changes):
 
 
 @pytest.mark.parametrize("preset", ["fig2a", "fig3-bottom"])
-def test_one_packet_object_per_transmission(preset, monkeypatch):
-    """Each send and resend builds one Packet, and its ack is that same object."""
-    made = [0]
-    links = []
+def test_a_packet_is_built_only_while_its_sender_holds_no_spare(preset, monkeypatch):
+    """Each transmission rewrites the ack its sender holds, or builds a Packet
+    when it holds none; each processed ack is held until a transmission
+    takes it or a later ack replaces it. So a run builds about one Packet
+    per packet in flight, not one per transmission."""
+    built, offers = [], []
+    builds_expected = [0]
 
     def counted(*args):
-        made[0] += 1
-        return Packet(*args)
+        pkt = Packet(*args)
+        built.append(pkt)
+        return pkt
 
-    class Kept(harness._Simulation):
-        def run(self):
-            super().run()
-            links.append(self.link)
+    def logged_enqueue(link, pkt):
+        offers.append(pkt)
+        return enqueue(link, pkt)
 
+    def checked(send):
+        def wrapper(self, *args):
+            held, n_offers, n_built = self._spare, len(offers), len(built)
+            send(self, *args)
+            sent = offers[n_offers:]
+            reused = [held] if held is not None and sent else []
+            # lists of packets compare by identity: Packet has eq=False
+            assert sent == reused + built[n_built:]
+            assert self._spare is (None if sent else held)
+            builds_expected[0] += len(sent) - len(reused)
+        return wrapper
+
+    def held_after(self, ack, now):
+        n_offers = len(offers)
+        on_ack(self, ack, now)
+        assert self._spare is ack or ack in offers[n_offers:]
+
+    enqueue, on_ack = Bottleneck.enqueue, SenderBase.on_ack
     monkeypatch.setattr(transport, "Packet", counted)
-    monkeypatch.setattr(harness, "_Simulation", Kept)
+    monkeypatch.setattr(Bottleneck, "enqueue", logged_enqueue)
+    monkeypatch.setattr(SenderBase, "on_ack", held_after)
+    for name in ("try_send", "_retransmit"):
+        monkeypatch.setattr(SenderBase, name, checked(getattr(SenderBase, name)))
     harness.run_scenario(_cut(preset))
-    (link,) = links
-    assert link.delivered > 0
-    assert made[0] == link.offered
+    assert len(built) == builds_expected[0]
+    assert 0 < 20 * len(built) < len(offers)
+
+
+def test_a_dupack_triggered_resend_is_the_dupacks_own_object():
+    eng = Engine()
+    link = _FakeLink()
+    tx = _Recorder(eng, link, cwnd=8.0)
+    tx.start(0)  # 1..8 sent; 2 is lost
+    first = _ack(1)
+    tx.on_ack(first, 50_000)  # the window frees a slot: seq 9 is this ack
+    assert link.sent[-1] is first and first.seq == 9
+    dupacks = [_ack(1) for _ in range(3)]
+    for dup in dupacks:
+        tx.on_ack(dup, 60_000)
+    assert link.resent() == [2]
+    resend = link.sent[-1]
+    assert resend is dupacks[-1]
+    assert (resend.seq, resend.sent_at_sender_clock, resend.is_ack) == (2, 60_000, False)
+    assert not any(p is dup for p in link.sent for dup in dupacks[:2])
+    assert tx._spare is None
+
+
+def test_a_paced_timer_send_takes_the_ack_held_since_a_blocked_ack():
+    eng = Engine()
+    link = _FakeLink()
+    tx = _Paced(eng, link, cwnd=4.0)
+    eng.register(EventKind.PACING_TIMER, lambda s: s.on_pacing_timer())
+    tx.start(0)  # sends 1, then waits out the 1 ms gap
+    ack = _ack(1)
+    eng.now = 500
+    tx.on_ack(ack, 500)  # the window has room but the gap has not passed
+    assert [p.seq for p in link.sent] == [1]
+    assert tx._spare is ack
+    eng.run(until=2000)
+    assert [p.seq for p in link.sent] == [1, 2, 3]
+    assert link.sent[1] is ack
+    assert (ack.seq, ack.sent_at_sender_clock, ack.is_ack) == (2, 1000, False)
+    assert link.sent[2] is not ack  # nothing held by then: a new Packet
 
 
 @pytest.mark.parametrize("pacing", [True, False])
