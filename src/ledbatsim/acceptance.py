@@ -64,7 +64,6 @@ CRITERIA = {
     "6g": ("window halvings at least one smoothed RTT apart", "inter-halving time >= smoothed RTT"),
     "7": ("run command is byte-deterministic", "byte-identical files for the same seed"),
 }
-CRITERIA_IDS = list(CRITERIA)
 
 
 def _criterion_1(fig2a: RunResult, tcp_alone: RunResult):

@@ -19,7 +19,6 @@ from pathlib import Path
 from . import __version__
 from .harness import (
     DEFAULT_SAMPLE_US,
-    check_sample_us,
     run_scenario,
     run_table1,
     select_table1_cells,
@@ -61,11 +60,11 @@ def _run_and_write(targets, args) -> int:
     if args.seed is not None:
         scenarios = [replace(s, seed=args.seed) for s in scenarios]
     for scenario in scenarios:
-        scenario.validate()
         try:
-            check_sample_us(sample_us, scenario)
+            scenario.validate(sample_us)
         except UsageError as exc:
-            raise UsageError(f"--sample-ms {args.sample_ms:g} for {scenario.name}: {exc}") from None
+            raise UsageError(
+                f"{scenario.name!r} at --sample-ms {args.sample_ms:g}: {exc}") from None
     paths = _prepare_paths(Path(args.out), [f"{s.name}-{kind}.csv" for s in scenarios
                                             for kind in ("trace", "summary")], args.force)
     for scenario, trace_path, summary_path in zip(scenarios, paths[::2], paths[1::2]):
@@ -138,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="overwrite existing output files")
         if runs_scenarios:
             p.add_argument("--sample-ms", type=float, default=DEFAULT_SAMPLE_US / 1000,
-                           help="trace sampling period in ms (default: 10)")
+                           help="trace sampling period in ms (default: 10); the tick "
+                                "polls safety timeouts, so a run that fires one can "
+                                "change with it (ROADMAP item 3)")
             p.add_argument("--seed", type=int, default=None,
                            help="override the scenario seed")
 

@@ -17,12 +17,11 @@ from .engine import Engine, EventKind
 from .ledbat import LedbatFlow
 from .metrics import MetricsReport, aggregate_runs, compute_report
 from .network import AckPath, Bottleneck
-from .scenario import (Scenario, UsageError, check_seed, resolve_starts, service_time_us,
-                       table1_cells)
+from .scenario import (DEFAULT_SAMPLE_US, UNIFORM_START_MAX_S, Scenario, UsageError,
+                       check_seed, resolve_starts, service_time_us, table1_cells)
 from .tcp import TcpFlow
 from .transport import MIN_TIMEOUT_US, Receiver, SenderBase
 
-DEFAULT_SAMPLE_US = 10_000
 STATS_SAMPLE = EventKind.STATS_SAMPLE  # bound once, as in network.py
 TRACE_BLOCK_TICKS = 128  # ticks the trace writer formats at once, which bounds its memory
 
@@ -36,11 +35,11 @@ class TraceSet:
 
     The trace lays itself out. Tick k falls at k * sample_us, up to
     duration_us. With no `interval` the trace keeps every tick; given the
-    interval (t0_us, t1_us) it must answer, it keeps only the ticks at or
-    before its two ends, or one tick when they coincide. `sample_t_us`, a
-    range, holds the kept tick times; the constructor allocates every series
-    at its length, zeroed, and the tick at time t writes entry
-    `sample_t_us.index(t)` of each, if t is kept.
+    interval (t0_us, t1_us) it must answer, it keeps only the last tick at or
+    before each end: two ticks, which `Scenario.validate` keeps apart.
+    `sample_t_us`, a range, holds the kept tick times; the constructor
+    allocates every series at its length, zeroed, and the tick at time t
+    writes entry `sample_t_us.index(t)` of each, if t is kept.
     A trace that keeps fewer ticks answers interval queries only at the
     ticks it kept, and the writer and starvation detection read it as if it
     had no others, so only the grid's batch runs ask for one.
@@ -67,7 +66,7 @@ class TraceSet:
             self.sample_t_us = range(0, duration_us + 1, sample_us)
         else:
             first, last = (t_us // sample_us * sample_us for t_us in interval)
-            self.sample_t_us = range(first, last + 1, last - first or 1)
+            self.sample_t_us = range(first, last + 1, last - first)
         n = len(self.sample_t_us)
         self.queue_pkts = array("q", [0]) * n
         self.link_offered = array("q", [0]) * n
@@ -213,23 +212,6 @@ class _Simulation:
         self.engine.clear()
 
 
-def check_sample_us(sample_us: int, scenario: Scenario) -> None:
-    """A sampling period for a valid scenario: an int number of microseconds
-    in (0, duration_us], so that a run holds at least its first and last
-    tick, and one whose last tick comes after the latest start the second
-    flow can draw, so that the measurement interval's ends read two ticks."""
-    duration_us = scenario.duration_us
-    if type(sample_us) is not int or not 0 < sample_us <= duration_us:
-        raise UsageError(f"sampling period must be an int of us within (0, {duration_us}], "
-                         f"not {sample_us!r}")
-    if len(scenario.flows) > 1:
-        latest_us = scenario.latest_second_start_us()
-        last_tick_us = duration_us // sample_us * sample_us
-        if latest_us >= last_tick_us:
-            raise UsageError(f"second flow may start at {latest_us / 1e6:g} s, "
-                             f"not before the last tick at {last_tick_us / 1e6:g} s")
-
-
 def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US,
                  full_trace: bool = True) -> RunResult:
     """Resolve start-time randomness from the scenario seed, run, and measure.
@@ -244,8 +226,7 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US,
     tick fires, checks conservation and polls stalled flows at the same
     times, so the run, its metrics and its check facts are the same.
     """
-    scenario.validate()
-    check_sample_us(sample_us, scenario)
+    scenario.validate(sample_us)
     resolved = resolve_starts(scenario, scenario.seed, 0, 0)
     interval = (resolved.flows[1].start_us if len(resolved.flows) > 1 else 0,
                 resolved.duration_us)
@@ -255,7 +236,7 @@ def run_scenario(scenario: Scenario, sample_us: int = DEFAULT_SAMPLE_US,
     stats = [
         FlowStats(
             retransmits=s.retransmits,
-            max_update_ratio=getattr(s, "max_update_ratio", 0.0),
+            max_update_ratio=s.max_update_ratio,
             timeouts=s.timeouts,
         )
         for s in sim.senders
@@ -343,7 +324,8 @@ def run_table1(runs_per_cell: int, base_seed: int, jobs: int = 1, cells=None,
     for ci, scn in selected:
         agg = aggregate_runs(by_cell[ci])
         mix = "tcp-ledbat" if scn.flows[0].kind == "tcp" else "ledbat-ledbat"
-        delta_t = "U(0,10)" if scn.delta_t_mode == "uniform" else f"{scn.flows[1].start_s:g}"
+        delta_t = (f"U(0,{UNIFORM_START_MAX_S:g})" if scn.delta_t_mode == "uniform"
+                   else f"{scn.flows[1].start_s:g}")
         summaries.append(CellSummary(
             name=scn.name,
             mix=mix,

@@ -20,6 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from .transport import FlowSpec
 
 UNIFORM_START_MAX_S = 10.0  # delta_t_mode "uniform" draws the second start from U(0, this)
+DEFAULT_SAMPLE_US = 10_000  # a run ticks every 10 ms unless given another period
 
 
 class UsageError(Exception):
@@ -69,7 +70,8 @@ class Scenario:
     delta_t_mode: str = "fixed"  # "fixed" | "uniform" (second start ~ U(0,10) s)
     start_jitter_s: float = 0.0  # extra U(0, jitter) on the second flow's start
 
-    def validate(self) -> None:
+    def validate(self, sample_us: int = DEFAULT_SAMPLE_US) -> None:
+        """Raise ValidationError unless a run sampled every `sample_us` can be made."""
         # the name is an output file stem, a scenario-file value and an
         # unquoted CSV field
         if not self.name or self.name != self.name.strip():
@@ -118,21 +120,24 @@ class Scenario:
                 and all(isinstance(g, int) and g > 0 for g in f.gain)
             ):
                 raise ValidationError(f"flow {i}: gain must be a pair of positive ints")
-        if len(self.flows) > 1 and self.latest_second_start_us() >= duration_us:
-            raise ValidationError(f"second flow may start at "
-                                  f"{self.latest_second_start_us() / 1e6:g} s, not before duration_s")
+        # the run holds at least its first and last tick, and the last comes
+        # after the latest start the seed can draw for the second flow, so
+        # that the measurement interval's ends read two ticks
+        if type(sample_us) is not int or not 0 < sample_us <= duration_us:
+            raise ValidationError(f"sampling period must be an int of us within "
+                                  f"(0, {duration_us}], not {sample_us!r}")
+        if len(self.flows) > 1:
+            latest_s = (UNIFORM_START_MAX_S if self.delta_t_mode == "uniform"
+                        else self.flows[1].start_s + self.start_jitter_s)
+            latest_us = int(round(latest_s * 1_000_000))
+            last_tick_us = duration_us // sample_us * sample_us
+            if latest_us >= last_tick_us:
+                raise ValidationError(f"second flow may start at {latest_us / 1e6:g} s, "
+                                      f"not before the last tick at {last_tick_us / 1e6:g} s")
 
     @property
     def duration_us(self) -> int:
         return int(round(self.duration_s * 1_000_000))
-
-    def latest_second_start_us(self) -> int:
-        """The latest start resolve_starts can draw for the second flow."""
-        if self.delta_t_mode == "uniform":
-            latest_s = UNIFORM_START_MAX_S
-        else:
-            latest_s = self.flows[1].start_s + self.start_jitter_s
-        return int(round(latest_s * 1_000_000))
 
 
 def check_seed(seed: int) -> None:

@@ -118,6 +118,7 @@ class SenderBase:
     """
 
     pacing = False  # a pacing subclass defines pacing_gap_us(), read before each send
+    max_update_ratio = 0.0  # a delay-based subclass records its largest window update
 
     def __init__(self, engine: Engine, flow_id: int, link: Bottleneck):
         self.engine = engine

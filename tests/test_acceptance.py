@@ -9,7 +9,7 @@ measured to the value recorded in MEASURED.
 
 import pytest
 
-from ledbatsim.acceptance import CRITERIA_IDS, run_acceptance
+from ledbatsim.acceptance import CRITERIA, run_acceptance
 
 TABLE_RUNS = 20
 SEED = 7
@@ -45,11 +45,11 @@ MEASURED = {
 @pytest.fixture(scope="module")
 def scorecard():
     results = run_acceptance(table_runs=TABLE_RUNS, seed=SEED, jobs=JOBS)
-    assert [r.cid for r in results] == CRITERIA_IDS
+    assert [r.cid for r in results] == list(CRITERIA)
     return {r.cid: r for r in results}
 
 
-@pytest.mark.parametrize("cid", CRITERIA_IDS)
+@pytest.mark.parametrize("cid", list(CRITERIA))
 def test_criterion(scorecard, cid):
     r = scorecard[cid]
     print(f"[{'PASS' if r.passed else 'FAIL'}] {cid}: {r.description} | "
@@ -60,6 +60,6 @@ def test_criterion(scorecard, cid):
     )
 
 
-@pytest.mark.parametrize("cid", CRITERIA_IDS)
+@pytest.mark.parametrize("cid", list(CRITERIA))
 def test_measured_value_is_pinned(scorecard, cid):
     assert scorecard[cid].measured == MEASURED[cid]

@@ -27,8 +27,7 @@ from dataclasses import replace
 
 import pytest
 
-from ledbatsim.harness import (DEFAULT_SAMPLE_US, check_sample_us, extract_check_facts,
-                               run_scenario)
+from ledbatsim.harness import DEFAULT_SAMPLE_US, extract_check_facts, run_scenario
 from ledbatsim.network import Bottleneck
 from ledbatsim.scenario import UsageError, get_preset, resolve_starts, table1_cells
 from test_corpus import GENERATED
@@ -49,8 +48,7 @@ def _per_tick(trace, name):
 
 def _is_a_valid_run(scn):
     try:
-        scn.validate()
-        check_sample_us(DEFAULT_SAMPLE_US, scn)
+        scn.validate(DEFAULT_SAMPLE_US)
     except UsageError:
         return False
     return True

@@ -8,6 +8,7 @@ from decimal import Decimal
 import pytest
 
 from ledbatsim import scenario
+from ledbatsim.harness import run_scenario
 from ledbatsim.scenario import (
     ParseError,
     Scenario,
@@ -59,7 +60,7 @@ def test_validate_passes_sane_scenario():
     (dict(start_jitter_s=-1.0), "jitter"),
     (dict(seed=-1), r"seed must be within \[0, 2\*\*64\)"),
     (dict(seed=2**64), r"seed must be within \[0, 2\*\*64\)"),
-    # the latest second-flow start the seed can draw must fall before the end
+    # the latest second-flow start the seed can draw must fall before the last tick
     (dict(delta_t_mode="uniform", duration_s=10.0), "second flow may start at 10 s"),
     (dict(flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=19.95)], start_jitter_s=0.1),
      "second flow may start at 20.05 s"),
@@ -113,6 +114,19 @@ def test_validate_rejects_bad_top_level(patch, fragment):
 def test_validate_rejects_bad_flow(flow, fragment):
     with pytest.raises(ValidationError, match=fragment):
         _tiny(flows=[flow]).validate()
+
+
+def test_validate_takes_the_sampling_period():
+    # the second flow may start at 15 s: before the last 10 ms tick of the
+    # 20 s run, but not before its last 7 s tick, at 14 s
+    scn = _tiny(flows=[FlowSpec("tcp"), FlowSpec("ledbat", start_s=14.0)], start_jitter_s=1.0)
+    scn.validate()
+    scn.validate(10_000)
+    refusal = r"second flow may start at 15 s, not before the last tick at 14 s"
+    with pytest.raises(ValidationError, match=refusal):
+        scn.validate(7_000_000)
+    with pytest.raises(ValidationError, match=refusal):
+        run_scenario(scn, sample_us=7_000_000)  # the run asks the same one rule
 
 
 def test_validate_rejects_rtt_below_service_time():
